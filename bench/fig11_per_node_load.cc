@@ -67,10 +67,13 @@ void RunPanel(testbed::Testbed& tb, const char* title, bool one_join_attr,
       sens_max = std::max(sens_max, sens->cost.per_node_packets[i]);
     }
     if (count == 0) continue;
-    std::string label = std::to_string(b.lo) +
-                        (b.hi < 0 ? "+"
-                         : b.hi == b.lo ? ""
-                                        : "-" + std::to_string(b.hi));
+    std::string label = std::to_string(b.lo);
+    if (b.hi < 0) {
+      label += "+";
+    } else if (b.hi != b.lo) {
+      label += "-";
+      label += std::to_string(b.hi);
+    }
     table.AddRow({label, Fmt(static_cast<uint64_t>(count)),
                   Fmt(static_cast<double>(ext_sum) / count, 1),
                   Fmt(static_cast<double>(sens_sum) / count, 1), Fmt(ext_max),

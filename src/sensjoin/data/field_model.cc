@@ -52,8 +52,20 @@ double ScalarField::ValueAt(const Point& p) const {
   return v;
 }
 
-double ScalarField::Measure(const Point& p, int32_t node,
-                            uint64_t epoch) const {
+double ScalarField::DriftAt(uint64_t epoch) const {
+  // A random walk over epochs, summed from epoch 1 in order.
+  double drift = 0.0;
+  if (params_.drift_sigma > 0) {
+    for (uint64_t e = 1; e <= epoch; ++e) {
+      drift += params_.drift_sigma * HashGaussian(noise_salt_ ^ 0xdeadbeefULL,
+                                                  0xffffffffULL, e);
+    }
+  }
+  return drift;
+}
+
+double ScalarField::Measure(const Point& p, int32_t node, uint64_t epoch,
+                            double drift) const {
   double v = ValueAt(p);
   if (params_.noise_sigma > 0) {
     // Calibration offset: fixed per node, so consecutive epochs stay
@@ -67,16 +79,9 @@ double ScalarField::Measure(const Point& p, int32_t node,
          HashGaussian(noise_salt_ ^ 0x5ca1ab1eULL,
                       static_cast<uint64_t>(node), epoch);
   }
-  if (params_.drift_sigma > 0 && epoch > 0) {
-    // Slow network-wide drift: a random walk over epochs, identical for all
-    // nodes so spatial correlation is preserved.
-    double drift = 0.0;
-    for (uint64_t e = 1; e <= epoch; ++e) {
-      drift += params_.drift_sigma * HashGaussian(noise_salt_ ^ 0xdeadbeefULL,
-                                                  0xffffffffULL, e);
-    }
-    v += drift;
-  }
+  // Added last and only when a walk exists, so that a -0.0 reading is not
+  // turned into +0.0 by a zero drift.
+  if (params_.drift_sigma > 0 && epoch > 0) v += drift;
   return v;
 }
 

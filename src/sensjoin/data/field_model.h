@@ -32,6 +32,12 @@ struct FieldParams {
 /// is fixed at construction (from `rng`); measurement noise and drift are
 /// hash-derived from (node, epoch) so that re-reading the same snapshot
 /// yields identical values — the ONCE semantics of snapshot queries.
+///
+/// Cost model: the network-wide drift of snapshot `epoch` is a random walk
+/// over epochs 1..epoch, so DriftAt costs O(epoch) hash draws. A reader of a
+/// whole snapshot computes it once per field and passes it to the four-
+/// argument Measure, which then costs O(bumps) per node. The field is
+/// stateless after construction (no caches), so concurrent readers are safe.
 class ScalarField {
  public:
   ScalarField(const FieldParams& params, double area_width_m,
@@ -40,10 +46,25 @@ class ScalarField {
   /// Noise-free field value at `p`.
   double ValueAt(const Point& p) const;
 
-  /// The value node `node` measures at position `p` in snapshot `epoch`.
-  double Measure(const Point& p, int32_t node, uint64_t epoch) const;
+  /// Network-wide drift of snapshot `epoch`, identical for all nodes (so
+  /// spatial correlation is preserved). 0 at epoch 0 and without drift.
+  double DriftAt(uint64_t epoch) const;
+
+  /// The value node `node` measures at position `p` in snapshot `epoch`,
+  /// given that snapshot's `drift` (= DriftAt(epoch)).
+  double Measure(const Point& p, int32_t node, uint64_t epoch,
+                 double drift) const;
+
+  /// Measure with the drift computed here: O(epoch), for one-off reads.
+  double Measure(const Point& p, int32_t node, uint64_t epoch) const {
+    return Measure(p, node, epoch, DriftAt(epoch));
+  }
 
   const FieldParams& params() const { return params_; }
+
+  /// Salt of the hash-derived noise and drift streams (drawn from the
+  /// construction `rng`).
+  uint64_t noise_salt() const { return noise_salt_; }
 
  private:
   struct Bump {

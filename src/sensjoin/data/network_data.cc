@@ -24,16 +24,28 @@ void NetworkData::AddField(const std::string& name, const FieldParams& params,
   schema_ = Schema(std::move(attrs));
 }
 
-Tuple NetworkData::Sense(sim::NodeId id, uint64_t epoch) const {
+NetworkData::SnapshotDrift NetworkData::DriftOf(uint64_t epoch) const {
+  SnapshotDrift drift;
+  drift.epoch = epoch;
+  drift.per_field.reserve(fields_.size());
+  for (const auto& field : fields_) {
+    drift.per_field.push_back(field->DriftAt(epoch));
+  }
+  return drift;
+}
+
+Tuple NetworkData::Sense(sim::NodeId id, const SnapshotDrift& drift) const {
   SENSJOIN_CHECK(id >= 0 && id < num_nodes());
+  SENSJOIN_CHECK_EQ(drift.per_field.size(), fields_.size());
   Tuple t;
   t.node = id;
   const Point& p = positions_[id];
   t.values.reserve(2 + fields_.size());
   t.values.push_back(p.x);
   t.values.push_back(p.y);
-  for (const auto& field : fields_) {
-    t.values.push_back(field->Measure(p, id, epoch));
+  for (size_t f = 0; f < fields_.size(); ++f) {
+    t.values.push_back(
+        fields_[f]->Measure(p, id, drift.epoch, drift.per_field[f]));
   }
   return t;
 }
@@ -58,8 +70,9 @@ bool NetworkData::BelongsTo(sim::NodeId id,
 Relation NetworkData::Materialize(const std::string& relation_name,
                                   uint64_t epoch) const {
   Relation r(relation_name, schema_);
+  const SnapshotDrift drift = DriftOf(epoch);
   for (sim::NodeId id = 0; id < num_nodes(); ++id) {
-    if (BelongsTo(id, relation_name)) r.Add(Sense(id, epoch));
+    if (BelongsTo(id, relation_name)) r.Add(Sense(id, drift));
   }
   return r;
 }

@@ -24,6 +24,13 @@ namespace sensjoin::data {
 /// Supports heterogeneous networks: nodes can be assigned to named relation
 /// groups; by default every node belongs to every relation (homogeneous
 /// network / self-join).
+///
+/// Cost model: a snapshot's network-wide part, every field's drift, costs
+/// O(epoch) per field and is computed once per snapshot (DriftOf); each
+/// node's read then costs O(bumps) per field. Reading all n nodes of a
+/// snapshot is thus O(fields × (epoch + n × bumps)). The class holds no
+/// caches: it is immutable once its fields are added, and safe to share
+/// across threads.
 class NetworkData {
  public:
   /// Creates an environment over `positions` (node id = index). Fields are
@@ -42,10 +49,26 @@ class NetworkData {
   int num_nodes() const { return static_cast<int>(positions_.size()); }
   const Point& position(sim::NodeId id) const { return positions_[id]; }
 
-  /// The snapshot tuple of node `id` in epoch `epoch`. Deterministic:
-  /// re-sensing the same (id, epoch) returns the same values (ONCE reads the
-  /// sensors exactly once; Sec. IV-D).
-  Tuple Sense(sim::NodeId id, uint64_t epoch) const;
+  /// The part of snapshot `epoch` shared by all nodes: each field's drift,
+  /// in AddField order.
+  struct SnapshotDrift {
+    uint64_t epoch = 0;
+    std::vector<double> per_field;
+  };
+
+  /// Computes snapshot `epoch`'s drift, O(epoch) per field. Readers of many
+  /// nodes of one snapshot compute it once and pass it to Sense.
+  SnapshotDrift DriftOf(uint64_t epoch) const;
+
+  /// The snapshot tuple of node `id` in the snapshot of `drift`.
+  /// Deterministic: re-sensing the same (id, epoch) returns the same values
+  /// (ONCE reads the sensors exactly once; Sec. IV-D).
+  Tuple Sense(sim::NodeId id, const SnapshotDrift& drift) const;
+
+  /// Sense(id, DriftOf(epoch)): O(epoch), for one-off reads.
+  Tuple Sense(sim::NodeId id, uint64_t epoch) const {
+    return Sense(id, DriftOf(epoch));
+  }
 
   /// Restricts relation `relation_name` to `members`. Unassigned relation
   /// names cover all nodes.

@@ -46,13 +46,14 @@ ExecutorContext::ExecutorContext(const data::NetworkData& data,
         std::vector<int>(attrs.begin(), attrs.end()));
   }
 
+  const data::NetworkData::SnapshotDrift drift = data.DriftOf(epoch);
   infos_.resize(data.num_nodes());
   for (sim::NodeId id = 0; id < data.num_nodes(); ++id) {
     NodeInfo& info = infos_[id];
     // The base station (node 0) is a powered access point, not a sensor
     // tuple source.
     if (id == 0) continue;
-    data::Tuple tuple = data.Sense(id, epoch);
+    data::Tuple tuple = data.Sense(id, drift);
     uint8_t membership = 0;
     for (int t = 0; t < q.num_tables(); ++t) {
       const int r = table_relation_bit_[t];

@@ -219,8 +219,12 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
 
     // Per-member exact joins over the group's candidate pool: each member
     // applies its own predicates and projection, discarding the other
-    // members' false positives.
+    // members' false positives. Members agree on FROM entries and
+    // selections (the sharing signature), so the representative's context
+    // splits the pool once for all of them.
     const auto join_start = std::chrono::steady_clock::now();
+    const std::vector<std::vector<const data::Tuple*>> per_table =
+        group.engine->context()->PerTableCandidates(final_outcome.candidates);
     for (QueryRecord* m : members) {
       join::ExecutionReport er;
       er.success = true;
@@ -234,9 +238,7 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
       er.treecut_exited_nodes = collected.treecut_exited;
       er.final_tuples_shipped = final_outcome.final_tuples_shipped;
       er.candidate_tuples = final_outcome.candidates.size();
-      join::ExecutorContext ctx(data_, m->query, epoch);
-      er.result = join::ComputeExactJoin(
-          m->query, ctx.PerTableCandidates(final_outcome.candidates));
+      er.result = join::ComputeExactJoin(m->query, per_table);
       report->matched_rows += er.result.rows.size();
       staged.emplace(m->id, std::move(er));
     }

@@ -15,6 +15,42 @@ void SetDefaultSimConfig(const sim::SimConfig& config) {
   g_default_sim_config = config;
 }
 
+std::vector<NamedField> DefaultFields() {
+  data::FieldParams temp;
+  temp.base = 20.0;
+  temp.gradient_per_m = 0.004;
+  temp.num_bumps = 10;
+  temp.bump_amplitude = 4.0;
+  temp.bump_sigma_m = 180.0;
+  temp.noise_sigma = 0.05;
+
+  data::FieldParams hum;
+  hum.base = 50.0;
+  hum.gradient_per_m = 0.01;
+  hum.num_bumps = 8;
+  hum.bump_amplitude = 8.0;
+  hum.bump_sigma_m = 200.0;
+  hum.noise_sigma = 0.2;
+
+  data::FieldParams pres;
+  pres.base = 1010.0;
+  pres.gradient_per_m = 0.005;
+  pres.num_bumps = 4;
+  pres.bump_amplitude = 6.0;
+  pres.bump_sigma_m = 400.0;
+  pres.noise_sigma = 0.1;
+
+  data::FieldParams light;
+  light.base = 500.0;
+  light.gradient_per_m = 0.2;
+  light.num_bumps = 12;
+  light.bump_amplitude = 150.0;
+  light.bump_sigma_m = 120.0;
+  light.noise_sigma = 5.0;
+
+  return {{"temp", temp}, {"hum", hum}, {"pres", pres}, {"light", light}};
+}
+
 StatusOr<std::unique_ptr<Testbed>> Testbed::Create(
     const TestbedParams& params) {
   Rng rng(params.seed);
@@ -34,41 +70,9 @@ StatusOr<std::unique_ptr<Testbed>> Testbed::Create(
       placement.positions, params.placement.area_width_m,
       params.placement.area_height_m);
   if (params.default_fields) {
-    data::FieldParams temp;
-    temp.base = 20.0;
-    temp.gradient_per_m = 0.004;
-    temp.num_bumps = 10;
-    temp.bump_amplitude = 4.0;
-    temp.bump_sigma_m = 180.0;
-    temp.noise_sigma = 0.05;
-    env->AddField("temp", temp, rng);
-
-    data::FieldParams hum;
-    hum.base = 50.0;
-    hum.gradient_per_m = 0.01;
-    hum.num_bumps = 8;
-    hum.bump_amplitude = 8.0;
-    hum.bump_sigma_m = 200.0;
-    hum.noise_sigma = 0.2;
-    env->AddField("hum", hum, rng);
-
-    data::FieldParams pres;
-    pres.base = 1010.0;
-    pres.gradient_per_m = 0.005;
-    pres.num_bumps = 4;
-    pres.bump_amplitude = 6.0;
-    pres.bump_sigma_m = 400.0;
-    pres.noise_sigma = 0.1;
-    env->AddField("pres", pres, rng);
-
-    data::FieldParams light;
-    light.base = 500.0;
-    light.gradient_per_m = 0.2;
-    light.num_bumps = 12;
-    light.bump_amplitude = 150.0;
-    light.bump_sigma_m = 120.0;
-    light.noise_sigma = 5.0;
-    env->AddField("light", light, rng);
+    for (const NamedField& field : DefaultFields()) {
+      env->AddField(field.name, field.params, rng);
+    }
   }
 
   net::RoutingTree tree =

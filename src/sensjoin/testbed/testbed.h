@@ -5,6 +5,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "sensjoin/common/rng.h"
 #include "sensjoin/common/statusor.h"
@@ -26,6 +27,16 @@ namespace sensjoin::testbed {
 /// every helper that constructs a TestbedParams inherits the selection.
 const sim::SimConfig& DefaultSimConfig();
 void SetDefaultSimConfig(const sim::SimConfig& config);
+
+/// One sensor type of a deployment: its attribute name and field shape.
+struct NamedField {
+  std::string name;
+  data::FieldParams params;
+};
+
+/// The default sensor types (temperature, humidity, pressure, light), in
+/// the order Testbed::Create adds them.
+std::vector<NamedField> DefaultFields();
 
 /// Everything needed to stand up a simulated deployment matching the
 /// paper's general setting (Sec. VI): random connected placement, CTP-style

@@ -1,12 +1,18 @@
 #include "sensjoin/data/field_model.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sensjoin/common/rng.h"
 #include "sensjoin/data/network_data.h"
+#include "sensjoin/join/executor_context.h"
+#include "sensjoin/query/query.h"
+#include "sensjoin/testbed/testbed.h"
 
 namespace sensjoin::data {
 namespace {
@@ -133,6 +139,135 @@ TEST(NetworkDataTest, MaterializeRespectsMembership) {
   EXPECT_EQ(r.size(), 2u);
   EXPECT_EQ(r.tuple(0).node, 0);
   EXPECT_EQ(r.tuple(1).node, 2);
+}
+
+// ---- Differential oracle: sensing against the per-read drift walk -------
+
+/// Reference copy of the field's hash-based standard-normal deviate.
+double ReferenceHashGaussian(uint64_t salt, uint64_t a, uint64_t b) {
+  auto mix = [](uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  };
+  const uint64_t h1 = mix(salt ^ mix(a * 0x9e3779b97f4a7c15ULL + b));
+  const uint64_t h2 = mix(h1 + 0x9e3779b97f4a7c15ULL);
+  double u1 = static_cast<double>(h1 >> 11) * 0x1.0p-53;
+  const double u2 = static_cast<double>(h2 >> 11) * 0x1.0p-53;
+  if (u1 <= 0.0) u1 = 0x1.0p-53;
+  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+}
+
+/// Reference measurement: recomputes the network-wide drift walk from
+/// epoch 1 on every read, as one self-contained O(epoch) computation.
+double ReferenceMeasure(const ScalarField& f, const Point& p, int32_t node,
+                        uint64_t epoch) {
+  const FieldParams& params = f.params();
+  const uint64_t salt = f.noise_salt();
+  double v = f.ValueAt(p);
+  if (params.noise_sigma > 0) {
+    v += params.noise_sigma *
+         ReferenceHashGaussian(salt, static_cast<uint64_t>(node), 0);
+  }
+  if (params.temporal_noise_sigma > 0) {
+    v += params.temporal_noise_sigma *
+         ReferenceHashGaussian(salt ^ 0x5ca1ab1eULL,
+                               static_cast<uint64_t>(node), epoch);
+  }
+  if (params.drift_sigma > 0 && epoch > 0) {
+    double drift = 0.0;
+    for (uint64_t e = 1; e <= epoch; ++e) {
+      drift += params.drift_sigma *
+               ReferenceHashGaussian(salt ^ 0xdeadbeefULL, 0xffffffffULL, e);
+    }
+    v += drift;
+  }
+  return v;
+}
+
+/// Bit pattern of a double: equality here is bit-identity (it tells -0.0
+/// from +0.0).
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+void ExpectBitIdentical(const std::vector<double>& actual,
+                        const std::vector<double>& expected,
+                        const std::string& where) {
+  ASSERT_EQ(actual.size(), expected.size()) << where;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(Bits(actual[i]), Bits(expected[i]))
+        << where << " attribute " << i << ": " << actual[i] << " vs "
+        << expected[i];
+  }
+}
+
+/// Every default deployment field, plus fields without drift, without
+/// temporal jitter and without either.
+std::vector<testbed::NamedField> OracleFields() {
+  std::vector<testbed::NamedField> fields = testbed::DefaultFields();
+  FieldParams no_drift = DefaultParams();
+  no_drift.drift_sigma = 0;
+  FieldParams no_jitter = DefaultParams();
+  no_jitter.temporal_noise_sigma = 0;
+  FieldParams still = DefaultParams();
+  still.drift_sigma = 0;
+  still.temporal_noise_sigma = 0;
+  fields.push_back({"no_drift", no_drift});
+  fields.push_back({"no_jitter", no_jitter});
+  fields.push_back({"still", still});
+  return fields;
+}
+
+TEST(SensingOracleTest, SnapshotReadsMatchPerReadDriftWalk) {
+  constexpr uint64_t kSeed = 77;
+  constexpr double kSide = 600;
+  Rng placement_rng(5);
+  std::vector<Point> positions;
+  for (int i = 0; i < 9; ++i) {
+    positions.push_back({placement_rng.UniformDouble(0, kSide),
+                         placement_rng.UniformDouble(0, kSide)});
+  }
+  NetworkData data(positions, kSide, kSide);
+  // Twin fields drawn from an identical generator in the same order are the
+  // network's fields; the reference reads them independently.
+  Rng data_rng(kSeed);
+  Rng twin_rng(kSeed);
+  std::vector<ScalarField> twins;
+  for (const testbed::NamedField& field : OracleFields()) {
+    data.AddField(field.name, field.params, data_rng);
+    twins.emplace_back(field.params, kSide, kSide, twin_rng);
+  }
+  auto q = query::AnalyzedQuery::FromString(
+      "SELECT A.temp, B.temp FROM sensors A, sensors B "
+      "WHERE A.temp - B.temp > 0.5 ONCE",
+      data.schema());
+  ASSERT_TRUE(q.ok()) << q.status();
+
+  for (const uint64_t epoch : {0ull, 1ull, 2ull, 37ull, 500ull}) {
+    const join::ExecutorContext ctx(data, *q, epoch);
+    const Relation all = data.Materialize("sensors", epoch);
+    ASSERT_EQ(all.size(), positions.size());
+    for (int id = 0; id < data.num_nodes(); ++id) {
+      const Point& p = positions[id];
+      std::vector<double> expected = {p.x, p.y};
+      for (size_t f = 0; f < twins.size(); ++f) {
+        expected.push_back(ReferenceMeasure(twins[f], p, id, epoch));
+        EXPECT_EQ(Bits(twins[f].Measure(p, id, epoch)), Bits(expected.back()))
+            << "field " << f << " node " << id << " epoch " << epoch;
+      }
+      const std::string where =
+          "node " + std::to_string(id) + " epoch " + std::to_string(epoch);
+      ExpectBitIdentical(data.Sense(id, epoch).values, expected,
+                         "Sense " + where);
+      ExpectBitIdentical(all.tuple(id).values, expected,
+                         "Materialize " + where);
+      // The base station (node 0) contributes no tuple; every sensor does
+      // (the query has no selection).
+      if (id == 0) continue;
+      ASSERT_TRUE(ctx.info(id).has_tuple) << where;
+      ExpectBitIdentical(ctx.info(id).tuple.values, expected,
+                         "ExecutorContext " + where);
+    }
+  }
 }
 
 TEST(NetworkDataDeathTest, DuplicateFieldAborts) {

@@ -59,6 +59,14 @@ std::string FamilyQuery(int i) {
          std::to_string(1.0 + 0.05 * i) + " ONCE";
 }
 
+/// A second family sharing one signature: every member also carries the
+/// single-table conjunct `A.hum > 50`, pushed down as A's selection.
+std::string SelectedFamilyQuery(int i) {
+  return "SELECT A.hum, B.hum FROM sensors A, sensors B "
+         "WHERE A.hum > 50 AND A.temp - B.temp > " +
+         std::to_string(1.0 + 0.05 * i) + " ONCE";
+}
+
 std::vector<std::vector<double>> SortedRows(const join::JoinResult& r) {
   auto rows = r.rows;
   std::sort(rows.begin(), rows.end());
@@ -66,41 +74,61 @@ std::vector<std::vector<double>> SortedRows(const join::JoinResult& r) {
 }
 
 TEST(ServiceTest, IncrementalExecutionMatchesSnapshotExecutions) {
-  auto tb = testbed::Testbed::Create(MediumParams(3));
-  ASSERT_TRUE(tb.ok());
-  auto service = testbed::MakeService(**tb, SharedConfig());
-  auto id = service.Register(FamilyQuery(0));
-  ASSERT_TRUE(id.ok()) << id.status();
-  auto q = (*tb)->ParseQuery(FamilyQuery(0));
-  ASSERT_TRUE(q.ok()) << q.status();
+  // A lone query, and a three-member group whose members share a
+  // selection the analyzer pushes down onto A: the group splits its
+  // candidate pool once, and that split must serve every member.
+  const std::vector<std::vector<std::string>> inputs = {
+      {FamilyQuery(0)},
+      {SelectedFamilyQuery(0), SelectedFamilyQuery(1),
+       SelectedFamilyQuery(2)}};
+  for (const std::vector<std::string>& sqls : inputs) {
+    auto tb = testbed::Testbed::Create(MediumParams(3));
+    ASSERT_TRUE(tb.ok());
+    auto service = testbed::MakeService(**tb, SharedConfig());
+    std::vector<QueryId> ids;
+    std::vector<query::AnalyzedQuery> queries;
+    for (const std::string& sql : sqls) {
+      auto id = service.Register(sql);
+      ASSERT_TRUE(id.ok()) << id.status();
+      auto q = (*tb)->ParseQuery(sql);
+      ASSERT_TRUE(q.ok()) << q.status();
+      ids.push_back(*id);
+      queries.push_back(std::move(q).value());
+    }
 
-  size_t cheap_paths = 0;
-  for (uint64_t epoch = 0; epoch < 5; ++epoch) {
-    auto report = service.RunEpoch();
-    ASSERT_TRUE(report.ok()) << report.status();
-    EXPECT_EQ(report->epoch, epoch);
-    cheap_paths += report->filter_reuses + report->filter_incremental_updates;
+    size_t cheap_paths = 0;
+    for (uint64_t epoch = 0; epoch < 5; ++epoch) {
+      auto report = service.RunEpoch();
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_EQ(report->epoch, epoch);
+      EXPECT_EQ(report->groups, 1u);
+      cheap_paths +=
+          report->filter_reuses + report->filter_incremental_updates;
 
-    // Independent full execution of the same query on the same drifting
-    // readings. The service's incrementally maintained state must be
-    // indistinguishable: identical collected multiset, identical filter,
-    // identical result rows.
-    auto snapshot =
-        (*tb)->MakeSensJoin(ServiceProtocol()).Execute(*q, epoch);
-    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-    auto record = service.registry().Get(*id);
-    ASSERT_TRUE(record.ok());
-    const join::ExecutionReport& mine = (*record)->reports.at(epoch);
-    EXPECT_EQ(mine.collected_points, snapshot->collected_points);
-    EXPECT_EQ(mine.filter_points, snapshot->filter_points);
-    EXPECT_EQ(SortedRows(mine.result), SortedRows(snapshot->result))
-        << "epoch " << epoch;
-    EXPECT_EQ(mine.result.contributing_nodes,
-              snapshot->result.contributing_nodes);
+      for (size_t i = 0; i < ids.size(); ++i) {
+        // Independent full execution of the same query on the same
+        // drifting readings. The service's incrementally maintained state
+        // must be indistinguishable: identical collected multiset,
+        // identical filter, identical result rows.
+        auto snapshot =
+            (*tb)->MakeSensJoin(ServiceProtocol()).Execute(queries[i], epoch);
+        ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+        auto record = service.registry().Get(ids[i]);
+        ASSERT_TRUE(record.ok());
+        const join::ExecutionReport& mine = (*record)->reports.at(epoch);
+        EXPECT_EQ(mine.collected_points, snapshot->collected_points);
+        EXPECT_EQ(mine.filter_points, snapshot->filter_points);
+        EXPECT_EQ(SortedRows(mine.result), SortedRows(snapshot->result))
+            << sqls[i] << " epoch " << epoch;
+        EXPECT_EQ(mine.result.contributing_nodes,
+                  snapshot->result.contributing_nodes);
+        EXPECT_FALSE(mine.result.rows.empty()) << sqls[i];
+      }
+    }
+    // Drifting readings must exercise the reuse/incremental maintenance
+    // paths, not fall back to a full recompute every epoch.
+    EXPECT_GT(cheap_paths, 0u);
   }
-  // Drifting readings must exercise the reuse/incremental maintenance
-  // paths, not fall back to a full recompute every epoch.
-  EXPECT_GT(cheap_paths, 0u);
 }
 
 TEST(ServiceTest, SixteenQueryGroupMatchesDedicatedExecutions) {

@@ -79,7 +79,9 @@ TEST(TraceDeterminismTest, EnabledTracerDoesNotPerturbResults) {
   const join::CostReport untraced = RunOnce(42, nullptr);
   obs::Tracer tracer;
   const join::CostReport traced = RunOnce(42, &tracer);
-  if (obs::kTracingCompiledIn) EXPECT_GT(tracer.buffer().size(), 0u);
+  if (obs::kTracingCompiledIn) {
+    EXPECT_GT(tracer.buffer().size(), 0u);
+  }
   ExpectIdenticalCost(untraced, traced);
 }
 

@@ -220,7 +220,9 @@ TEST(MetricsTest, RegistryReturnsStableInstruments) {
   a.Add(3);
   // Creating more instruments must not invalidate the first reference.
   for (int i = 0; i < 100; ++i) {
-    registry.GetCounter("c" + std::to_string(i));
+    std::string name = "c";
+    name += std::to_string(i);
+    registry.GetCounter(name);
   }
   EXPECT_EQ(registry.GetCounter("a").value(), 3u);
   EXPECT_EQ(&registry.GetCounter("a"), &a);
