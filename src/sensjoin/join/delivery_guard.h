@@ -45,11 +45,8 @@ const char* DeliveryVerdictName(DeliveryVerdict verdict);
 /// seed.
 ///
 /// Link state is sharded by sender: Stamp and Retract for src A touch only
-/// A's shard, so turns of distinct nodes may stamp concurrently under the
-/// windowed engine (a turn only ever stamps its own node's sends). Classify
-/// and BeginAttempt are receiver/coordinator-side and must stay on the
-/// delivery thread. Pass `num_nodes` to pre-size the shard table; without
-/// it the table lazily grows, which is only safe single-threaded.
+/// A's shard. Pass `num_nodes` to pre-size the shard table; without it the
+/// table grows lazily.
 class DeliveryGuard {
  public:
   /// `dedup_window` bounds the per-link memory (entries per link);

@@ -1,8 +1,10 @@
 #ifndef SENSJOIN_SIM_ARENA_H_
 #define SENSJOIN_SIM_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <new>
 #include <utility>
@@ -69,37 +71,77 @@ class Arena {
 /// A typed free-list pool over an Arena. Create/Destroy recycle fixed-size
 /// slots: the first wave of Creates bump-allocates from the arena, and once
 /// the population stabilizes every Create is a free-list pop — no heap
-/// traffic, no per-object malloc metadata.
+/// traffic, no per-object malloc metadata. The free list is threaded
+/// through the dead slots themselves, so the only bookkeeping is one
+/// pointer per slot ever carved (the destructor needs them).
 template <typename T>
 class ArenaPool {
  public:
   explicit ArenaPool(Arena* arena) : arena_(arena) {}
 
+  ArenaPool(const ArenaPool&) = delete;
+  ArenaPool& operator=(const ArenaPool&) = delete;
+
+  /// Destroys the objects still alive (deliveries pending when their
+  /// simulator goes away) so what they own is released; the arena reclaims
+  /// the storage itself.
+  ~ArenaPool() {
+    if (live_ == 0) return;
+    std::vector<Slot*> dead;
+    dead.reserve(free_count_);
+    for (Slot* s = free_head_; s != nullptr; s = s->next) dead.push_back(s);
+    std::sort(dead.begin(), dead.end(), std::less<Slot*>());
+    for (Slot* s : slots_) {
+      if (!std::binary_search(dead.begin(), dead.end(), s,
+                              std::less<Slot*>())) {
+        s->value.~T();
+      }
+    }
+  }
+
   template <typename... Args>
   T* Create(Args&&... args) {
-    ++live_;
-    if (!free_.empty()) {
-      T* slot = free_.back();
-      free_.pop_back();
-      return ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
+    Slot* slot = free_head_;
+    if (slot != nullptr) {
+      free_head_ = slot->next;
+      --free_count_;
+    } else {
+      slot = arena_->New<Slot>();
+      slots_.push_back(slot);
     }
-    return arena_->New<T>(std::forward<Args>(args)...);
+    ++live_;
+    return ::new (static_cast<void*>(&slot->value))
+        T(std::forward<Args>(args)...);
   }
 
   void Destroy(T* p) {
     p->~T();
-    free_.push_back(p);
+    // A union and its members share one address.
+    Slot* slot = reinterpret_cast<Slot*>(p);
+    slot->next = free_head_;
+    free_head_ = slot;
+    ++free_count_;
     --live_;
   }
 
   /// Objects currently alive (created and not yet destroyed).
   size_t live() const { return live_; }
   /// Slots parked on the free list, ready for reuse.
-  size_t free_count() const { return free_.size(); }
+  size_t free_count() const { return free_count_; }
 
  private:
+  /// A live slot holds a T; a dead one links to the next free slot.
+  union Slot {
+    Slot() : next(nullptr) {}
+    ~Slot() {}
+    Slot* next;
+    T value;
+  };
+
   Arena* arena_;
-  std::vector<T*> free_;
+  std::vector<Slot*> slots_;  ///< every slot ever carved from the arena
+  Slot* free_head_ = nullptr;
+  size_t free_count_ = 0;
   size_t live_ = 0;
 };
 

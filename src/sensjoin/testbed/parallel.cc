@@ -9,8 +9,6 @@
 #include <string>
 #include <thread>
 
-#include "sensjoin/testbed/testbed.h"
-
 namespace sensjoin::testbed {
 namespace {
 
@@ -47,64 +45,46 @@ int ResolveThreadCount(int requested) {
 }
 
 int ParseThreadsFlag(int* argc, char** argv) {
-  int threads = 0;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--threads") == 0 && i + 1 < *argc) {
-      threads = std::atoi(argv[i + 1]);
-      ++i;  // skip the value
-      continue;
-    }
-    if (std::strncmp(arg, "--threads=", 10) == 0) {
-      threads = std::atoi(arg + 10);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  argv[out] = nullptr;
-  return threads > 0 ? threads : 0;
-}
-
-sim::SimConfig ParseEngineFlag(int* argc, char** argv) {
   const char* value = nullptr;
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
     const char* arg = argv[i];
-    if (std::strcmp(arg, "--engine") == 0 && i + 1 < *argc) {
-      value = argv[i + 1];
-      ++i;  // skip the value
+    if (std::strcmp(arg, "--threads") == 0) {
+      if (i + 1 >= *argc) {
+        std::fprintf(stderr, "--threads needs a value\n");
+        std::exit(2);
+      }
+      value = argv[++i];
       continue;
     }
-    if (std::strncmp(arg, "--engine=", 9) == 0) {
-      value = arg + 9;
+    if (std::strncmp(arg, "--threads=", 10) == 0) {
+      value = arg + 10;
       continue;
     }
     argv[out++] = argv[i];
   }
   *argc = out;
   argv[out] = nullptr;
-  if (value == nullptr) return DefaultSimConfig();
-
-  sim::SimConfig config = DefaultSimConfig();
-  std::string kind(value);
-  if (const size_t colon = kind.find(':'); colon != std::string::npos) {
-    config.engine.workers = std::atoi(kind.c_str() + colon + 1);
-    kind.resize(colon);
-  }
-  if (kind == "seq" || kind == "sequential") {
-    config.engine.kind = sim::EngineKind::kSequential;
-  } else if (kind == "windowed") {
-    config.engine.kind = sim::EngineKind::kWindowed;
-  } else {
+  if (value == nullptr) return 0;
+  char* end = nullptr;
+  const long v = std::strtol(value, &end, 10);
+  if (end == value || *end != '\0' || v <= 0 || v > 4096) {
     std::fprintf(stderr,
-                 "unknown --engine value '%s' (want seq|windowed[:N])\n",
+                 "invalid --threads value '%s' (want an integer in "
+                 "1..4096)\n",
                  value);
     std::exit(2);
   }
-  SetDefaultSimConfig(config);
-  return config;
+  return static_cast<int>(v);
+}
+
+void RejectUnknownFlags(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) == 0) {
+      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], argv[i]);
+      std::exit(2);
+    }
+  }
 }
 
 ParallelRunner::ParallelRunner(int threads)

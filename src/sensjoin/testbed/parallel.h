@@ -8,7 +8,6 @@
 
 #include "sensjoin/common/status.h"
 #include "sensjoin/common/statusor.h"
-#include "sensjoin/sim/sim_config.h"
 
 namespace sensjoin::testbed {
 
@@ -30,17 +29,15 @@ int ResolveThreadCount(int requested = 0);
 /// returns N, or 0 when the flag is absent (letting ResolveThreadCount
 /// fall through to the environment). Mutates argv in place so positional
 /// arguments (seed, node count) keep their indices for existing parsing.
+/// A value that is not a positive integer, or a trailing `--threads` with
+/// no value, exits the process with status 2 and a message.
 int ParseThreadsFlag(int* argc, char** argv);
 
-/// Strips a `--engine KIND` / `--engine=KIND` argument from (argc, argv),
-/// where KIND is `seq`/`sequential` or `windowed`, optionally suffixed with
-/// `:N` to pin the windowed worker count (`--engine=windowed:4`). The
-/// parsed selection is installed as the process default
-/// (SetDefaultSimConfig), so TestbedParams built afterwards inherit it.
-/// Mutates argv in place like ParseThreadsFlag; returns the resulting
-/// config (the untouched default when the flag is absent). Unrecognized
-/// KINDs abort with a clear message.
-sim::SimConfig ParseEngineFlag(int* argc, char** argv);
+/// Exits the process with status 2 and a message when any argument left
+/// in argv[1..argc) starts with `--`. Harness mains call this after
+/// stripping every flag they understand, so a stale or misspelled flag
+/// fails loudly instead of being parsed as a positional seed.
+void RejectUnknownFlags(int argc, char** argv);
 
 /// Identity of one trial inside a sweep, handed to the trial callback.
 struct TrialContext {

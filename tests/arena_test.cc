@@ -127,5 +127,18 @@ TEST(ArenaPoolTest, SteadyStateChurnsWithoutArenaGrowth) {
   EXPECT_EQ(Tracked::live, 0);
 }
 
+TEST(ArenaPoolTest, DestructionReleasesObjectsStillAlive) {
+  Arena arena;
+  {
+    ArenaPool<Tracked> pool(&arena);
+    Tracked* a = pool.Create(1);
+    pool.Create(2);
+    pool.Destroy(a);
+    pool.Create(3);  // reuses a's slot
+    EXPECT_EQ(Tracked::live, 2);
+  }
+  EXPECT_EQ(Tracked::live, 0);
+}
+
 }  // namespace
 }  // namespace sensjoin::sim

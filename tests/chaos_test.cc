@@ -72,9 +72,6 @@ LivenessBounds SwarmLiveness() {
   return bounds;
 }
 
-// TraceDigest / ExecutionFingerprint live in testbed/chaos.h now, shared
-// with the windowed-engine equivalence tests.
-
 struct TrialOutcome {
   std::string fingerprint;
   std::vector<std::string> violations;

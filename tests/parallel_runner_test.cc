@@ -74,6 +74,44 @@ TEST(ParseThreadsFlagTest, AbsentReturnsZero) {
   EXPECT_EQ(argc, 2);
 }
 
+/// Runs ParseThreadsFlag over `args` (argv[0] is prepended).
+int ParseThreads(std::vector<std::string> args) {
+  args.insert(args.begin(), "bench");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  argv.push_back(nullptr);
+  int argc = static_cast<int>(args.size());
+  return ParseThreadsFlag(&argc, argv.data());
+}
+
+TEST(ParseThreadsFlagTest, RejectsMalformedValues) {
+  EXPECT_EXIT(ParseThreads({"--threads=abc", "42"}),
+              testing::ExitedWithCode(2), "invalid --threads value 'abc'");
+  EXPECT_EXIT(ParseThreads({"--threads=0"}), testing::ExitedWithCode(2),
+              "invalid --threads value '0'");
+  EXPECT_EXIT(ParseThreads({"--threads", "4x"}), testing::ExitedWithCode(2),
+              "invalid --threads value '4x'");
+  EXPECT_EXIT(ParseThreads({"42", "--threads"}), testing::ExitedWithCode(2),
+              "--threads needs a value");
+}
+
+TEST(RejectUnknownFlagsTest, ExitsOnLeftoverFlag) {
+  std::string prog = "bench";
+  std::string stale = "--seed=7";
+  std::string seed = "42";
+  char* argv[] = {prog.data(), stale.data(), seed.data(), nullptr};
+  EXPECT_EXIT(RejectUnknownFlags(3, argv), testing::ExitedWithCode(2),
+              "unknown flag '--seed=7'");
+}
+
+TEST(RejectUnknownFlagsTest, AcceptsPositionalArguments) {
+  std::string prog = "bench";
+  std::string seed = "42";
+  std::string nodes = "-1";
+  char* argv[] = {prog.data(), seed.data(), nodes.data(), nullptr};
+  RejectUnknownFlags(3, argv);  // returns: nothing starts with "--"
+}
+
 TEST(ParallelRunnerTest, ZeroTrialsIsOkAndEmpty) {
   ParallelRunner runner(4);
   auto r = runner.Run(0, /*sweep_seed=*/42,

@@ -1,8 +1,9 @@
 // Continuous multi-query join service: incremental execution must be
 // indistinguishable from independent full executions (filters and rows),
 // shared-phase groups must reproduce dedicated per-query runs, admission
-// churn must keep report streams consistent, and scripted service runs
-// must be deterministic across runner thread counts.
+// churn must keep report streams consistent, lossy links must be resynced
+// without changing any row, and scripted service runs must be
+// deterministic across runner thread counts.
 
 #include "sensjoin/service/join_service.h"
 
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "sensjoin/sensjoin.h"
+#include "sensjoin/testbed/chaos.h"
 #include "sensjoin/testbed/service_harness.h"
 
 namespace sensjoin::service {
@@ -129,6 +131,50 @@ TEST(ServiceTest, IncrementalExecutionMatchesSnapshotExecutions) {
     // paths, not fall back to a full recompute every epoch.
     EXPECT_GT(cheap_paths, 0u);
   }
+}
+
+TEST(ServiceTest, LossyLinksResyncAndKeepRowsExact) {
+  // 2% fragment loss on every link: lost delta hops are re-pulled and a
+  // failed hop forces a tree rebuild, yet every member's rows must still
+  // equal the ground truth over the live readings of each epoch.
+  auto tb = testbed::Testbed::Create(MediumParams(3));
+  ASSERT_TRUE(tb.ok());
+  sim::FaultPlan plan;
+  plan.default_loss_rate = 0.02;
+  (*tb)->InjectFaults(plan);
+  auto service = testbed::MakeService(**tb, SharedConfig());
+  std::vector<QueryId> ids;
+  std::vector<query::AnalyzedQuery> queries;
+  for (int i = 0; i < 3; ++i) {
+    auto id = service.Register(SelectedFamilyQuery(i));
+    ASSERT_TRUE(id.ok()) << id.status();
+    auto q = (*tb)->ParseQuery(SelectedFamilyQuery(i));
+    ASSERT_TRUE(q.ok()) << q.status();
+    ids.push_back(*id);
+    queries.push_back(std::move(q).value());
+  }
+
+  size_t resyncs = 0;
+  size_t rebuilds = 0;
+  for (uint64_t epoch = 0; epoch < 5; ++epoch) {
+    auto report = service.RunEpoch();
+    ASSERT_TRUE(report.ok()) << "epoch " << epoch << ": " << report.status();
+    EXPECT_EQ(report->groups, 1u);
+    resyncs += report->delta_resyncs;
+    rebuilds += report->tree_rebuilds;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const join::JoinResult truth =
+          testbed::ComputeGroundTruth(**tb, queries[i], epoch);
+      auto record = service.registry().Get(ids[i]);
+      ASSERT_TRUE(record.ok());
+      EXPECT_EQ(SortedRows((*record)->reports.at(epoch).result),
+                SortedRows(truth))
+          << "query " << i << " epoch " << epoch;
+    }
+  }
+  // The loss must actually have exercised both fault paths.
+  EXPECT_GT(resyncs, 0u);
+  EXPECT_GT(rebuilds, 0u);
 }
 
 TEST(ServiceTest, SixteenQueryGroupMatchesDedicatedExecutions) {
