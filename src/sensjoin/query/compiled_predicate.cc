@@ -1,8 +1,10 @@
 #include "sensjoin/query/compiled_predicate.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "sensjoin/common/logging.h"
+#include "sensjoin/query/expr_eval.h"
 #include "sensjoin/query/interval_eval.h"
 
 namespace sensjoin::query {
@@ -39,6 +41,21 @@ class RawRowContext : public IntervalContext {
   const Interval* const* rows_;
 };
 
+/// ScalarContext over the raw per-table value rows, for the scalar
+/// interpreter's fallback ops.
+class RawValueContext : public ScalarContext {
+ public:
+  explicit RawValueContext(const double* const* rows) : rows_(rows) {}
+
+  double Value(int table_index, int attr_index) const override {
+    SENSJOIN_DCHECK(rows_[table_index] != nullptr);
+    return rows_[table_index][attr_index];
+  }
+
+ private:
+  const double* const* rows_;
+};
+
 }  // namespace
 
 CompiledPredicate CompiledPredicate::Compile(const Expr& pred) {
@@ -52,6 +69,19 @@ CompiledPredicate CompiledPredicate::Compile(const Expr& pred) {
   }
   p.CompileTri(pred);
   p.DetectFastPattern();
+  return p;
+}
+
+CompiledPredicate CompiledPredicate::CompileValue(const Expr& expr) {
+  CompiledPredicate p;
+  if (TreeDepth(expr) > kMaxStack) {
+    Op op;
+    op.code = OpCode::kFallbackNum;
+    op.subtree = &expr;
+    p.ops_.push_back(op);
+    return p;
+  }
+  p.CompileNumeric(expr);
   return p;
 }
 
@@ -385,6 +415,151 @@ Tri CompiledPredicate::Eval(const Interval* const* rows) const {
   }
   SENSJOIN_DCHECK(tt == 1 && nt == 0);
   return tri[0];
+}
+
+bool CompiledPredicate::Eval(const double* const* rows) const {
+  bool truth = false;
+  RunScalar(rows, nullptr, &truth);
+  return truth;
+}
+
+double CompiledPredicate::EvalValue(const double* const* rows) const {
+  double value = 0.0;
+  RunScalar(rows, &value, nullptr);
+  return value;
+}
+
+void CompiledPredicate::RunScalar(const double* const* rows, double* value,
+                                  bool* truth) const {
+  // Each op runs the double operation EvalScalar / EvalPredicate performs
+  // at the corresponding tree node, so results match them bit for bit.
+  double num[kMaxStack];
+  bool tri[kMaxStack];
+  int nt = 0;
+  int tt = 0;
+  for (const Op& op : ops_) {
+    switch (op.code) {
+      case OpCode::kPushLit:
+        num[nt++] = op.literal;
+        break;
+      case OpCode::kPushAttr:
+        num[nt++] = rows[op.table][op.attr];
+        break;
+      case OpCode::kAdd:
+        num[nt - 2] = num[nt - 2] + num[nt - 1];
+        --nt;
+        break;
+      case OpCode::kSub:
+        num[nt - 2] = num[nt - 2] - num[nt - 1];
+        --nt;
+        break;
+      case OpCode::kMul:
+        num[nt - 2] = num[nt - 2] * num[nt - 1];
+        --nt;
+        break;
+      case OpCode::kDiv:
+        num[nt - 2] = num[nt - 2] / num[nt - 1];
+        --nt;
+        break;
+      case OpCode::kNeg:
+        num[nt - 1] = -num[nt - 1];
+        break;
+      case OpCode::kAbs:
+        num[nt - 1] = std::abs(num[nt - 1]);
+        break;
+      case OpCode::kSqrt:
+        num[nt - 1] = std::sqrt(num[nt - 1]);
+        break;
+      case OpCode::kMin:
+        num[nt - 2] = std::min(num[nt - 2], num[nt - 1]);
+        --nt;
+        break;
+      case OpCode::kMax:
+        num[nt - 2] = std::max(num[nt - 2], num[nt - 1]);
+        --nt;
+        break;
+      case OpCode::kDistance: {
+        const double dx = num[nt - 4] - num[nt - 2];
+        const double dy = num[nt - 3] - num[nt - 1];
+        num[nt - 4] = std::sqrt(dx * dx + dy * dy);
+        nt -= 3;
+        break;
+      }
+      case OpCode::kSubAttrs:
+        num[nt++] = rows[op.table][op.attr] - rows[op.table2][op.attr2];
+        break;
+      case OpCode::kCmpLt:
+        tri[tt++] = num[nt - 2] < num[nt - 1];
+        nt -= 2;
+        break;
+      case OpCode::kCmpLe:
+        tri[tt++] = num[nt - 2] <= num[nt - 1];
+        nt -= 2;
+        break;
+      case OpCode::kCmpGt:
+        tri[tt++] = num[nt - 2] > num[nt - 1];
+        nt -= 2;
+        break;
+      case OpCode::kCmpGe:
+        tri[tt++] = num[nt - 2] >= num[nt - 1];
+        nt -= 2;
+        break;
+      case OpCode::kCmpEq:
+        tri[tt++] = num[nt - 2] == num[nt - 1];
+        nt -= 2;
+        break;
+      case OpCode::kCmpNe:
+        tri[tt++] = num[nt - 2] != num[nt - 1];
+        nt -= 2;
+        break;
+      case OpCode::kCmpLtLit:
+        tri[tt++] = num[--nt] < op.literal;
+        break;
+      case OpCode::kCmpLeLit:
+        tri[tt++] = num[--nt] <= op.literal;
+        break;
+      case OpCode::kCmpGtLit:
+        tri[tt++] = num[--nt] > op.literal;
+        break;
+      case OpCode::kCmpGeLit:
+        tri[tt++] = num[--nt] >= op.literal;
+        break;
+      case OpCode::kCmpEqLit:
+        tri[tt++] = num[--nt] == op.literal;
+        break;
+      case OpCode::kCmpNeLit:
+        tri[tt++] = num[--nt] != op.literal;
+        break;
+      case OpCode::kAnd:
+        tri[tt - 2] = tri[tt - 2] && tri[tt - 1];
+        --tt;
+        break;
+      case OpCode::kOr:
+        tri[tt - 2] = tri[tt - 2] || tri[tt - 1];
+        --tt;
+        break;
+      case OpCode::kNot:
+        tri[tt - 1] = !tri[tt - 1];
+        break;
+      case OpCode::kFallbackNum: {
+        const RawValueContext ctx(rows);
+        num[nt++] = EvalScalar(*op.subtree, ctx);
+        break;
+      }
+      case OpCode::kFallbackTri: {
+        const RawValueContext ctx(rows);
+        tri[tt++] = EvalPredicate(*op.subtree, ctx);
+        break;
+      }
+    }
+  }
+  if (value != nullptr) {
+    SENSJOIN_DCHECK(nt == 1 && tt == 0);
+    *value = num[0];
+  } else {
+    SENSJOIN_DCHECK(tt == 1 && nt == 0);
+    *truth = tri[0];
+  }
 }
 
 }  // namespace sensjoin::query

@@ -9,17 +9,21 @@
 
 namespace sensjoin::query {
 
-/// A join predicate compiled to a flat postfix program over intervals. The
-/// indexed filter join evaluates every surviving candidate combination
-/// against the full predicate; doing that through the Expr tree pays
+/// A predicate or numeric expression compiled to a flat postfix program with
+/// two interpreters over the same program: one over attribute intervals
+/// (the conservative filter join) and one over exact doubles (the exact
+/// join, selections, baselines). Evaluating through the Expr tree pays
 /// recursion, virtual context dispatch and a string compare per function
-/// node on the hottest path of the base-station join. The compiled form
-/// resolves all of that once and evaluates with the *same* interval
-/// operations in the same order, so the result is bit-identical to
-/// EvalTri(pred, RowIntervalContext(rows)) for every input.
+/// node on the hottest paths of the base-station joins. The compiled form
+/// resolves all of that once and evaluates with the *same* operations in
+/// the same order as the tree walkers, so results are bit-identical:
 ///
-/// Holds borrowed pointers into the predicate tree (fallback subtrees); must
-/// not outlive the AnalyzedQuery.
+///   Eval(const Interval* const*)   == EvalTri(pred, RowIntervalContext)
+///   Eval(const double* const*)     == EvalPredicate(pred, TupleContext)
+///   EvalValue(const double* const*) == EvalScalar(expr, TupleContext)
+///
+/// Holds borrowed pointers into the expression tree (fallback subtrees);
+/// must not outlive the AnalyzedQuery.
 class CompiledPredicate {
  public:
   /// Compiles a resolved, validated predicate. Shapes outside the opcode
@@ -27,10 +31,22 @@ class CompiledPredicate {
   /// compilation always succeeds and never changes semantics.
   static CompiledPredicate Compile(const Expr& pred);
 
+  /// Compiles a resolved, validated numeric expression (a SELECT item or
+  /// aggregate input) for EvalValue.
+  static CompiledPredicate CompileValue(const Expr& expr);
+
   /// Evaluates over explicit per-table attribute-interval rows: rows[t]
   /// points at FROM entry t's row indexed by schema attribute (may be null
-  /// for tables the predicate does not reference).
+  /// for tables the predicate does not reference). Predicate programs only.
   Tri Eval(const Interval* const* rows) const;
+
+  /// Exact truth over per-table value rows (rows[t] points at FROM entry
+  /// t's tuple values; may be null for tables the predicate does not
+  /// reference). Predicate programs only.
+  bool Eval(const double* const* rows) const;
+
+  /// Exact value of a CompileValue program over per-table value rows.
+  double EvalValue(const double* const* rows) const;
 
  private:
   enum class OpCode : uint8_t {
@@ -62,8 +78,9 @@ class CompiledPredicate {
     kAnd,
     kOr,
     kNot,
-    kFallbackNum,  ///< EvalInterval(subtree) onto the interval stack
-    kFallbackTri,  ///< EvalTri(subtree) onto the truth stack
+    kFallbackNum,  ///< EvalInterval / EvalScalar(subtree) onto the number
+                   ///< stack
+    kFallbackTri,  ///< EvalTri / EvalPredicate(subtree) onto the truth stack
   };
 
   struct Op {
@@ -79,6 +96,10 @@ class CompiledPredicate {
   void CompileNumeric(const Expr& e);
   void CompileTri(const Expr& e);
   void DetectFastPattern();
+
+  /// The scalar interpreter: leaves a value program's result in `*value`
+  /// or a predicate program's in `*truth` (exactly one is non-null).
+  void RunScalar(const double* const* rows, double* value, bool* truth) const;
 
   /// Whole-program specializations of the two shapes that dominate the
   /// indexed join's candidate re-evaluation; they run the identical interval

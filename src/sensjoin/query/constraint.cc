@@ -22,6 +22,33 @@ bool RefsTable(const Expr& e, int t) {
   return false;
 }
 
+/// Relative part of ScalarSlack: four ulps (4 * epsilon) of the endpoint.
+/// One widening absorbs the forward rounding at one tree node (half an ulp
+/// for +, -, *, /, sqrt; under one ulp where distance's
+/// sqrt(dx*dx + dy*dy) bounds |dx|) plus the previous inverse step's
+/// rounding (half an ulp per endpoint operation, one ulp for Div's
+/// reciprocal-then-multiply), with room to spare.
+constexpr double kSlackRelative = 4 * std::numeric_limits<double>::epsilon();
+
+/// Absolute part of ScalarSlack. Gradual underflow adds an absolute error
+/// of at most half the smallest subnormal per operation; distance squares
+/// its axis differences, so an axis difference below ~1.5e-154 may square
+/// to zero, and 1e-160 bounds the resulting error on |dx|.
+constexpr double kSlackAbsolute = 1e-160;
+
+/// Widens each finite endpoint outward by kSlackRelative * |endpoint| +
+/// kSlackAbsolute. An endpoint that is +inf on the low side (or -inf on the
+/// high side) came from an overflowing forward value, whose pre-rounding
+/// value may be any finite number beyond DBL_MAX: it becomes DBL_MAX first.
+Interval ScalarSlack(Interval t) {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  if (t.lo == kInf) t.lo = kMax;
+  if (t.hi == -kInf) t.hi = -kMax;
+  if (t.lo != -kInf) t.lo -= std::abs(t.lo) * kSlackRelative + kSlackAbsolute;
+  if (t.hi != kInf) t.hi += std::abs(t.hi) * kSlackRelative + kSlackAbsolute;
+  return t;
+}
+
 }  // namespace
 
 /// Builds the inversion program for one comparison. Walks from the
@@ -187,6 +214,15 @@ std::vector<ProbeConstraint> ProbeConstraint::Extract(const Expr& pred,
 }
 
 Interval ProbeConstraint::AllowedRange(const IntervalContext& ctx) const {
+  return Range(ctx, /*scalar_slack=*/false);
+}
+
+Interval ProbeConstraint::ScalarRange(const IntervalContext& ctx) const {
+  return Range(ctx, /*scalar_slack=*/true);
+}
+
+Interval ProbeConstraint::Range(const IntervalContext& ctx,
+                                bool scalar_slack) const {
   SENSJOIN_DCHECK(init_other_ != nullptr);
   const Interval other = EvalInterval(*init_other_, ctx);
   Interval t;
@@ -197,6 +233,8 @@ Interval ProbeConstraint::AllowedRange(const IntervalContext& ctx) const {
   }
   for (const Step& step : steps_) {
     if (std::isnan(t.lo) || std::isnan(t.hi)) return kFullRange;
+    // The comparison itself is exact; every node below it rounds.
+    if (scalar_slack) t = ScalarSlack(t);
     if (t.lo > t.hi) return kEmptyRange;
     switch (step.kind) {
       case StepKind::kSubOther:
@@ -247,6 +285,8 @@ Interval ProbeConstraint::AllowedRange(const IntervalContext& ctx) const {
     }
   }
   if (std::isnan(t.lo) || std::isnan(t.hi)) return kFullRange;
+  // The last inverse step rounded too; a bare attribute reference did not.
+  if (scalar_slack && !steps_.empty()) t = ScalarSlack(t);
   return t;
 }
 

@@ -45,6 +45,19 @@ class ProbeConstraint {
   /// is certainly false for every probe value.
   Interval AllowedRange(const IntervalContext& ctx) const;
 
+  /// The exact join's counterpart of AllowedRange. `ctx` serves point
+  /// intervals [v, v] of the other tables' exact values, and the returned
+  /// range contains every probe value for which the source comparison,
+  /// evaluated in round-to-nearest doubles (EvalPredicate or the compiled
+  /// scalar program), can hold. AllowedRange on point intervals rounds to
+  /// nearest as well, so it can miss such a value by a few ulps; this
+  /// variant widens the target before and after every inversion step by
+  /// ScalarSlack, which bounds both the forward evaluation's rounding at
+  /// that node and the inverse step's own rounding. A probe value outside
+  /// the range makes the comparison false, and NaN probe values make every
+  /// extracted comparison false.
+  Interval ScalarRange(const IntervalContext& ctx) const;
+
   /// Extracts the probe constraints on attributes of FROM entry
   /// `probe_table` implied by `pred` (a resolved, validated predicate).
   /// Conjunctions contribute the union of their children's constraints;
@@ -84,6 +97,8 @@ class ProbeConstraint {
   };
 
   friend class ConstraintExtractor;
+
+  Interval Range(const IntervalContext& ctx, bool scalar_slack) const;
 
   Init init_ = Init::kRange;
   const Expr* init_other_ = nullptr;  ///< borrowed comparison operand
