@@ -1,32 +1,23 @@
 #include "sensjoin/join/result.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <functional>
+#include <cstdint>
 #include <limits>
 #include <set>
 
 #include "sensjoin/common/logging.h"
-#include "sensjoin/query/expr_eval.h"
+#include "sensjoin/query/compiled_predicate.h"
+#include "sensjoin/query/constraint.h"
 
 namespace sensjoin::join {
 namespace {
 
-/// ScalarContext over an in-progress table->tuple assignment.
-class AssignmentContext : public query::ScalarContext {
- public:
-  explicit AssignmentContext(const std::vector<const data::Tuple*>* assignment)
-      : assignment_(assignment) {}
-
-  double Value(int table_index, int attr_index) const override {
-    const data::Tuple* t = (*assignment_)[table_index];
-    SENSJOIN_DCHECK(t != nullptr);
-    return t->values[attr_index];
-  }
-
- private:
-  const std::vector<const data::Tuple*>* assignment_;
-};
+/// Levels with fewer candidates than this are scanned: a probe costs an
+/// interval walk and two binary searches, about what a handful of compiled
+/// residual checks cost.
+constexpr size_t kMinIndexedCandidates = 8;
 
 /// Running state of one aggregate SELECT item.
 struct Accumulator {
@@ -64,6 +55,84 @@ struct Accumulator {
   }
 };
 
+/// One FROM entry's candidates sorted by one attribute. NaN values have no
+/// place in the order (std::sort needs a strict weak ordering); they sit in
+/// a side list that every probe visits.
+struct SortedIndex {
+  int attr = -1;
+  std::vector<double> values;        ///< ascending, NaN-free
+  std::vector<uint32_t> positions;   ///< candidate position of values[i]
+  std::vector<uint32_t> nan_positions;  ///< ascending
+
+  SortedIndex(int attr_index, const std::vector<const data::Tuple*>& cands)
+      : attr(attr_index) {
+    for (uint32_t p = 0; p < cands.size(); ++p) {
+      if (std::isnan(cands[p]->values[attr])) {
+        nan_positions.push_back(p);
+      } else {
+        positions.push_back(p);
+      }
+    }
+    std::sort(positions.begin(), positions.end(),
+              [&](uint32_t a, uint32_t b) {
+                return cands[a]->values[attr] < cands[b]->values[attr];
+              });
+    values.reserve(positions.size());
+    for (uint32_t p : positions) values.push_back(cands[p]->values[attr]);
+  }
+};
+
+/// One DFS level: FROM entry t, which the level assigns.
+struct Level {
+  /// Join predicates whose highest referenced table is t, in query order;
+  /// each candidate must pass all of them.
+  std::vector<query::CompiledPredicate> residual;
+  struct Probe {
+    query::ProbeConstraint constraint;  ///< bounds an attribute of table t
+    size_t index;                       ///< into `indexes`
+  };
+  std::vector<Probe> probes;
+  std::vector<SortedIndex> indexes;  ///< one per probed attribute
+  /// Scratch of the in-range visit (see VisitInRange).
+  std::vector<uint32_t> sorted_scratch;
+  std::vector<uint64_t> bits;
+};
+
+/// Calls visit(p) for every position of idx.positions[begin, end) and every
+/// NaN position, in ascending position order, which is the order the
+/// nested loop visits candidates in. Few positions are sorted; many are
+/// set in a bitmap over all candidates and read back word by word. Either
+/// way the level's scratch is left empty for the next visit.
+template <typename Visit>
+void VisitInRange(Level& level, const SortedIndex& idx, size_t begin,
+                  size_t end, size_t num_candidates, const Visit& visit) {
+  const size_t count = end - begin + idx.nan_positions.size();
+  const size_t words = (num_candidates + 63) / 64;
+  if (count * 4 < words) {
+    std::vector<uint32_t>& sorted = level.sorted_scratch;
+    sorted.assign(idx.positions.begin() + begin, idx.positions.begin() + end);
+    sorted.insert(sorted.end(), idx.nan_positions.begin(),
+                  idx.nan_positions.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (uint32_t p : sorted) visit(p);
+    return;
+  }
+  std::vector<uint64_t>& bits = level.bits;
+  bits.resize(words, 0);
+  for (size_t i = begin; i < end; ++i) {
+    bits[idx.positions[i] / 64] |= uint64_t{1} << (idx.positions[i] % 64);
+  }
+  for (uint32_t p : idx.nan_positions) bits[p / 64] |= uint64_t{1} << (p % 64);
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t word = bits[w];
+    bits[w] = 0;
+    while (word != 0) {
+      visit(static_cast<uint32_t>(w * 64 + std::countr_zero(word)));
+      word &= word - 1;
+    }
+  }
+}
+
 }  // namespace
 
 JoinResult ComputeExactJoin(
@@ -88,77 +157,150 @@ JoinResult ComputeExactJoin(
     }
   }
 
+  // Projections or aggregate inputs. COUNT(*) counts through the constant
+  // 1.0 (a literal program keeps no pointer into its temporary tree).
+  std::vector<query::CompiledPredicate> outputs;
   std::vector<Accumulator> accumulators;
-  if (q.has_aggregates()) {
-    accumulators.resize(q.select().size());
-    for (size_t i = 0; i < q.select().size(); ++i) {
-      accumulators[i].kind = q.select()[i].aggregate;
-    }
+  for (const query::SelectItem& item : q.select()) {
+    outputs.push_back(
+        item.expr != nullptr
+            ? query::CompiledPredicate::CompileValue(*item.expr)
+            : query::CompiledPredicate::CompileValue(
+                  *query::Expr::Literal(1.0)));
+    if (q.has_aggregates()) accumulators.push_back({.kind = item.aggregate});
   }
 
-  // Join predicates grouped by the last table they reference.
-  std::vector<std::vector<const query::Expr*>> preds_at(num_tables);
+  // Join predicates grouped by the last table they reference, plus the
+  // probe constraints they yield on that table.
+  std::vector<Level> levels(num_tables);
   for (const auto& p : q.join_predicates()) {
     std::set<int> tables;
     p->CollectTableIndices(&tables);
     SENSJOIN_CHECK(!tables.empty());
-    preds_at[*tables.rbegin()].push_back(p.get());
+    const int t = *tables.rbegin();
+    Level& level = levels[t];
+    level.residual.push_back(query::CompiledPredicate::Compile(*p));
+    if (per_table_tuples[t].size() < kMinIndexedCandidates) continue;
+    for (query::ProbeConstraint& c : query::ProbeConstraint::Extract(*p, t)) {
+      size_t index = 0;
+      while (index < level.indexes.size() &&
+             level.indexes[index].attr != c.attr_index()) {
+        ++index;
+      }
+      if (index == level.indexes.size()) {
+        level.indexes.emplace_back(c.attr_index(), per_table_tuples[t]);
+      }
+      level.probes.push_back({std::move(c), index});
+    }
   }
 
-  std::vector<const data::Tuple*> assignment(num_tables, nullptr);
-  AssignmentContext ctx(&assignment);
-  std::set<sim::NodeId> contributors;
+  // Contributors as bits over the distinct candidate node ids (sorted, so
+  // reading the bits back in order yields contributing_nodes sorted).
+  std::vector<sim::NodeId> node_ids;
+  for (const auto& cands : per_table_tuples) {
+    for (const data::Tuple* tup : cands) node_ids.push_back(tup->node);
+  }
+  std::sort(node_ids.begin(), node_ids.end());
+  node_ids.erase(std::unique(node_ids.begin(), node_ids.end()),
+                 node_ids.end());
+  std::vector<std::vector<uint32_t>> node_rank(num_tables);
+  for (int t = 0; t < num_tables; ++t) {
+    for (const data::Tuple* tup : per_table_tuples[t]) {
+      node_rank[t].push_back(static_cast<uint32_t>(
+          std::lower_bound(node_ids.begin(), node_ids.end(), tup->node) -
+          node_ids.begin()));
+    }
+  }
+  std::vector<uint64_t> contributors((node_ids.size() + 63) / 64, 0);
 
-  std::function<void(int)> dfs = [&](int t) {
+  std::vector<const double*> rows(num_tables, nullptr);
+  std::vector<uint32_t> chosen(num_tables, 0);
+  std::vector<sim::NodeId> row_contributors(num_tables);
+
+  auto dfs = [&](auto&& self, int t) -> void {
     if (t == num_tables) {
       ++result.matched_combinations;
-      for (const data::Tuple* tup : assignment) contributors.insert(tup->node);
+      for (int i = 0; i < num_tables; ++i) {
+        const uint32_t rank = node_rank[i][chosen[i]];
+        contributors[rank / 64] |= uint64_t{1} << (rank % 64);
+      }
       if (q.has_aggregates()) {
-        for (size_t i = 0; i < q.select().size(); ++i) {
-          const query::SelectItem& item = q.select()[i];
-          const double v = item.expr != nullptr
-                               ? query::EvalScalar(*item.expr, ctx)
-                               : 1.0;  // COUNT(*)
-          accumulators[i].Update(v);
+        for (size_t i = 0; i < outputs.size(); ++i) {
+          accumulators[i].Update(outputs[i].EvalValue(rows.data()));
+        }
+        return;
+      }
+      std::vector<double> row;
+      if (q.select_star()) {
+        row.reserve(static_cast<size_t>(num_tables) *
+                    q.schema().num_attributes());
+        for (int i = 0; i < num_tables; ++i) {
+          const std::vector<double>& v = per_table_tuples[i][chosen[i]]->values;
+          row.insert(row.end(), v.begin(), v.end());
         }
       } else {
-        std::vector<double> row;
-        if (q.select_star()) {
-          row.reserve(static_cast<size_t>(num_tables) *
-                      q.schema().num_attributes());
-          for (const data::Tuple* tup : assignment) {
-            row.insert(row.end(), tup->values.begin(), tup->values.end());
-          }
-        } else {
-          row.reserve(q.select().size());
-          for (const query::SelectItem& item : q.select()) {
-            row.push_back(query::EvalScalar(*item.expr, ctx));
-          }
+        row.reserve(outputs.size());
+        for (const query::CompiledPredicate& out : outputs) {
+          row.push_back(out.EvalValue(rows.data()));
         }
-        result.rows.push_back(std::move(row));
-        std::set<sim::NodeId> row_contributors;
-        for (const data::Tuple* tup : assignment) {
-          row_contributors.insert(tup->node);
-        }
-        result.row_nodes.emplace_back(row_contributors.begin(),
-                                      row_contributors.end());
       }
+      result.rows.push_back(std::move(row));
+      for (int i = 0; i < num_tables; ++i) {
+        row_contributors[i] = per_table_tuples[i][chosen[i]]->node;
+      }
+      std::sort(row_contributors.begin(), row_contributors.end());
+      result.row_nodes.emplace_back(
+          row_contributors.begin(),
+          std::unique(row_contributors.begin(), row_contributors.end()));
       return;
     }
-    for (const data::Tuple* tup : per_table_tuples[t]) {
-      assignment[t] = tup;
-      bool alive = true;
-      for (const query::Expr* p : preds_at[t]) {
-        if (!query::EvalPredicate(*p, ctx)) {
-          alive = false;
-          break;
+    Level& level = levels[t];
+    const std::vector<const data::Tuple*>& cands = per_table_tuples[t];
+    auto try_candidate = [&](uint32_t p) {
+      rows[t] = cands[p]->values.data();
+      chosen[t] = p;
+      for (const query::CompiledPredicate& pred : level.residual) {
+        if (!pred.Eval(rows.data())) return;
+      }
+      self(self, t + 1);
+    };
+    if (level.probes.empty()) {
+      for (uint32_t p = 0; p < cands.size(); ++p) try_candidate(p);
+    } else {
+      // The narrowest probe range; the residual check re-tests every
+      // candidate in it, so the other probes need not be intersected.
+      const SortedIndex* best = nullptr;
+      size_t best_begin = 0;
+      size_t best_end = 0;
+      for (const Level::Probe& probe : level.probes) {
+        const query::Interval range = probe.constraint.ScalarRange(rows.data());
+        const SortedIndex& idx = level.indexes[probe.index];
+        size_t begin = 0;
+        size_t end = 0;
+        if (range.lo <= range.hi) {
+          begin = static_cast<size_t>(
+              std::lower_bound(idx.values.begin(), idx.values.end(),
+                               range.lo) -
+              idx.values.begin());
+          end = static_cast<size_t>(
+              std::upper_bound(idx.values.begin() + begin, idx.values.end(),
+                               range.hi) -
+              idx.values.begin());
+        }
+        if (best == nullptr || end - begin + idx.nan_positions.size() <
+                                   best_end - best_begin +
+                                       best->nan_positions.size()) {
+          best = &idx;
+          best_begin = begin;
+          best_end = end;
         }
       }
-      if (alive) dfs(t + 1);
+      VisitInRange(level, *best, best_begin, best_end, cands.size(),
+                   try_candidate);
     }
-    assignment[t] = nullptr;
+    rows[t] = nullptr;
   };
-  dfs(0);
+  dfs(dfs, 0);
 
   if (q.has_aggregates()) {
     std::vector<double> row;
@@ -167,7 +309,12 @@ JoinResult ComputeExactJoin(
     result.rows.push_back(std::move(row));
   }
 
-  result.contributing_nodes.assign(contributors.begin(), contributors.end());
+  for (size_t w = 0; w < contributors.size(); ++w) {
+    for (uint64_t word = contributors[w]; word != 0; word &= word - 1) {
+      result.contributing_nodes.push_back(
+          node_ids[w * 64 + std::countr_zero(word)]);
+    }
+  }
   return result;
 }
 

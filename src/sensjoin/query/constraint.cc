@@ -118,6 +118,13 @@ class ConstraintExtractor {
       case ExprKind::kAttrRef:
         SENSJOIN_DCHECK(e.table_index == probe_);
         c.attr_index_ = e.attr_index;
+        c.init_program_ = CompiledPredicate::CompileValue(*c.init_other_);
+        for (const Step& step : c.steps_) {
+          c.step_programs_.push_back(
+              step.other != nullptr
+                  ? CompiledPredicate::CompileValue(*step.other)
+                  : CompiledPredicate());
+        }
         out_->push_back(std::move(c));
         return;
       case ExprKind::kUnary:
@@ -214,37 +221,50 @@ std::vector<ProbeConstraint> ProbeConstraint::Extract(const Expr& pred,
 }
 
 Interval ProbeConstraint::AllowedRange(const IntervalContext& ctx) const {
-  return Range(ctx, /*scalar_slack=*/false);
+  return Range(
+      [&](const Expr& e, const CompiledPredicate&) {
+        return EvalInterval(e, ctx);
+      },
+      /*scalar_slack=*/false);
 }
 
-Interval ProbeConstraint::ScalarRange(const IntervalContext& ctx) const {
-  return Range(ctx, /*scalar_slack=*/true);
+Interval ProbeConstraint::ScalarRange(const double* const* rows) const {
+  return Range(
+      [&](const Expr&, const CompiledPredicate& program) {
+        return Interval::Single(program.EvalValue(rows));
+      },
+      /*scalar_slack=*/true);
 }
 
-Interval ProbeConstraint::Range(const IntervalContext& ctx,
+template <typename Operand>
+Interval ProbeConstraint::Range(const Operand& operand,
                                 bool scalar_slack) const {
   SENSJOIN_DCHECK(init_other_ != nullptr);
-  const Interval other = EvalInterval(*init_other_, ctx);
+  const Interval other = operand(*init_other_, init_program_);
   Interval t;
   switch (init_) {
     case Init::kUpperFromHi: t = {-kInf, other.hi}; break;
     case Init::kLowerFromLo: t = {other.lo, kInf}; break;
     case Init::kRange: t = other; break;
   }
-  for (const Step& step : steps_) {
+  for (size_t i = 0; i < steps_.size(); ++i) {
+    const Step& step = steps_[i];
+    const auto step_operand = [&] {
+      return operand(*step.other, step_programs_[i]);
+    };
     if (std::isnan(t.lo) || std::isnan(t.hi)) return kFullRange;
     // The comparison itself is exact; every node below it rounds.
     if (scalar_slack) t = ScalarSlack(t);
     if (t.lo > t.hi) return kEmptyRange;
     switch (step.kind) {
       case StepKind::kSubOther:
-        t = Sub(t, EvalInterval(*step.other, ctx));
+        t = Sub(t, step_operand());
         break;
       case StepKind::kAddOther:
-        t = Add(t, EvalInterval(*step.other, ctx));
+        t = Add(t, step_operand());
         break;
       case StepKind::kSubFromOther:
-        t = Sub(EvalInterval(*step.other, ctx), t);
+        t = Sub(step_operand(), t);
         break;
       case StepKind::kNeg:
         t = Neg(t);
@@ -260,7 +280,7 @@ Interval ProbeConstraint::Range(const IntervalContext& ctx,
         t = {t.lo > 0.0 ? t.lo * t.lo : -kInf, t.hi * t.hi};
         break;
       case StepKind::kDivOther: {
-        const Interval d = EvalInterval(*step.other, ctx);
+        const Interval d = step_operand();
         // The forward evaluator widens division by a zero-straddling
         // interval to (-inf, inf): every probe value survives. Non-finite
         // operands risk inf*0 = NaN in the interval product; give up too.
@@ -273,7 +293,7 @@ Interval ProbeConstraint::Range(const IntervalContext& ctx,
         break;
       }
       case StepKind::kMulOther: {
-        const Interval m = EvalInterval(*step.other, ctx);
+        const Interval m = step_operand();
         if ((m.lo <= 0.0 && m.hi >= 0.0) || !std::isfinite(m.lo) ||
             !std::isfinite(m.hi) || !std::isfinite(t.lo) ||
             !std::isfinite(t.hi)) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "sensjoin/query/ast.h"
+#include "sensjoin/query/compiled_predicate.h"
 #include "sensjoin/query/interval.h"
 #include "sensjoin/query/interval_eval.h"
 
@@ -45,18 +46,22 @@ class ProbeConstraint {
   /// is certainly false for every probe value.
   Interval AllowedRange(const IntervalContext& ctx) const;
 
-  /// The exact join's counterpart of AllowedRange. `ctx` serves point
-  /// intervals [v, v] of the other tables' exact values, and the returned
-  /// range contains every probe value for which the source comparison,
-  /// evaluated in round-to-nearest doubles (EvalPredicate or the compiled
-  /// scalar program), can hold. AllowedRange on point intervals rounds to
-  /// nearest as well, so it can miss such a value by a few ulps; this
-  /// variant widens the target before and after every inversion step by
-  /// ScalarSlack, which bounds both the forward evaluation's rounding at
-  /// that node and the inverse step's own rounding. A probe value outside
-  /// the range makes the comparison false, and NaN probe values make every
-  /// extracted comparison false.
-  Interval ScalarRange(const IntervalContext& ctx) const;
+  /// The exact join's counterpart of AllowedRange. `rows` holds the other
+  /// tables' exact values (rows[t] points at FROM entry t's tuple values;
+  /// the probe table's entry is not read), and the returned range contains
+  /// every probe value for which the source comparison, evaluated in
+  /// round-to-nearest doubles (EvalPredicate or the compiled scalar
+  /// program), can hold. The non-probe operands are evaluated by their
+  /// compiled scalar programs, so they carry the very values the scalar
+  /// comparison sees; the interval evaluator differs from it on NaN (e.g.
+  /// max(x, sqrt(-1)) is x in doubles, max(x, 0) over intervals) and
+  /// divides by multiplying with a reciprocal. Inverting in round-to-nearest
+  /// can still miss a boundary value by a few ulps, so the target is widened
+  /// before and after every inversion step by ScalarSlack, which bounds both
+  /// the forward evaluation's rounding at that node and the inverse step's
+  /// own rounding. A probe value outside the range makes the comparison
+  /// false, and so does a NaN probe value.
+  Interval ScalarRange(const double* const* rows) const;
 
   /// Extracts the probe constraints on attributes of FROM entry
   /// `probe_table` implied by `pred` (a resolved, validated predicate).
@@ -98,11 +103,18 @@ class ProbeConstraint {
 
   friend class ConstraintExtractor;
 
-  Interval Range(const IntervalContext& ctx, bool scalar_slack) const;
+  /// The inversion shared by AllowedRange and ScalarRange; `operand(e, p)`
+  /// evaluates the non-probe operand `e` (compiled as `p`) to an interval.
+  template <typename Operand>
+  Interval Range(const Operand& operand, bool scalar_slack) const;
 
   Init init_ = Init::kRange;
   const Expr* init_other_ = nullptr;  ///< borrowed comparison operand
   std::vector<Step> steps_;
+  /// Scalar programs of init_other_ and of each step's `other` (an empty
+  /// program where a step has none), for ScalarRange.
+  CompiledPredicate init_program_;
+  std::vector<CompiledPredicate> step_programs_;
   int attr_index_ = -1;
 };
 

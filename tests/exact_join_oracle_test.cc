@@ -158,7 +158,7 @@ std::string PairPredicate(Rng* rng, const std::string& p,
   const std::string r = Lit(rng->UniformDouble(0, 12));
   const std::string dist =
       "distance(" + p + ".x, " + p + ".y, " + q + ".x, " + q + ".y)";
-  switch (rng->UniformInt(0, 19)) {
+  switch (rng->UniformInt(0, 22)) {
     case 0: return p + ".temp - " + q + ".temp > " + d;
     case 1: return p + ".temp < " + q + ".temp";
     case 2: return "abs(" + p + ".temp - " + q + ".temp) < " + d;
@@ -182,6 +182,14 @@ std::string PairPredicate(Rng* rng, const std::string& p,
              " > " + r;
     case 17: return p + ".temp = " + q + ".temp + " + d;
     case 18: return q + ".temp - " + p + ".temp >= " + d;
+    // Non-probe operands where the interval evaluator and the doubles
+    // part ways: a divided operand (reciprocal times dividend over
+    // intervals) and min/max swallowing a NaN from sqrt of a negative.
+    case 19: return q + ".temp < " + p + ".temp / 3";
+    case 20: return q + ".temp = max(" + p + ".temp, sqrt(" + p + ".hum - 2))";
+    case 21:
+      return q + ".hum - " + d + " >= min(" + p + ".hum, sqrt(" + p +
+             ".temp))";
     default: return dist + " <= " + r + " AND " + p + ".hum >= " + q + ".hum";
   }
 }
@@ -276,6 +284,13 @@ TEST(ExactJoinOracleTest, AdversarialThresholdBoundaries) {
       {"-B.temp > A.temp - %", [](double a, double d) { return d - a; }},
       {"B.temp * 0.1 < A.temp + %",
        [](double a, double d) { return (a + d) / 0.1; }},
+      {"B.temp < A.temp / 3 + %",
+       [](double a, double d) { return a / 3 + d; }},
+      {"B.temp <= A.temp / 7 - %",
+       [](double a, double d) { return a / 7 - d; }},
+      // A.hum is 1: sqrt(A.hum - 2) is NaN, which max() swallows.
+      {"B.temp = max(A.temp, sqrt(A.hum - 2)) + %",
+       [](double a, double d) { return a + d; }},
   };
   for (const Shape& shape : shapes) {
     for (double d : thresholds) {
