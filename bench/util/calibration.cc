@@ -7,50 +7,30 @@
 #include "sensjoin/common/logging.h"
 #include "sensjoin/join/executor_context.h"
 #include "sensjoin/join/result.h"
-#include "sensjoin/query/expr_eval.h"
+#include "sensjoin/query/compiled_predicate.h"
 
 namespace sensjoin::bench {
 namespace {
-
-/// Mutable two-slot ScalarContext reused for every candidate pair. The
-/// previous implementation built a fresh pointer vector plus TupleContext
-/// per pair (~2.25M allocations per bisection probe at 1500 nodes), which
-/// dominated calibration wall-clock.
-class PairContext : public query::ScalarContext {
- public:
-  void Set(const data::Tuple* left, const data::Tuple* right) {
-    left_ = left;
-    right_ = right;
-  }
-  double Value(int table_index, int attr_index) const override {
-    const data::Tuple* t = table_index == 0 ? left_ : right_;
-    return t->values[attr_index];
-  }
-
- private:
-  const data::Tuple* left_ = nullptr;
-  const data::Tuple* right_ = nullptr;
-};
 
 /// Scans left rows [begin, end) x all right rows, inserting the nodes of
 /// matching pairs into `contributors`. Pairs whose endpoints are both
 /// already marked are skipped — that only ever suppresses evaluations
 /// whose outcome cannot add a new contributor, so the final set is
 /// independent of chunking and thread count.
-void ScanChunk(const std::vector<const query::Expr*>& preds,
+void ScanChunk(const std::vector<query::CompiledPredicate>& preds,
                const std::vector<const data::Tuple*>& left,
                const std::vector<const data::Tuple*>& right, size_t begin,
                size_t end, std::set<sim::NodeId>& contributors) {
   std::vector<char> left_marked(end - begin, 0);
   std::vector<char> right_marked(right.size(), 0);
-  PairContext ctx;
   for (size_t i = begin; i < end; ++i) {
     for (size_t j = 0; j < right.size(); ++j) {
       if (left_marked[i - begin] && right_marked[j]) continue;
-      ctx.Set(left[i], right[j]);
+      const double* rows[2] = {left[i]->values.data(),
+                               right[j]->values.data()};
       bool match = true;
-      for (const query::Expr* p : preds) {
-        if (!query::EvalPredicate(*p, ctx)) {
+      for (const query::CompiledPredicate& p : preds) {
+        if (!p.Eval(rows)) {
           match = false;
           break;
         }
@@ -73,9 +53,11 @@ size_t CountContributors2Way(const query::AnalyzedQuery& q,
                              const std::vector<const data::Tuple*>& left,
                              const std::vector<const data::Tuple*>& right,
                              const testbed::ParallelRunner* runner) {
-  std::vector<const query::Expr*> preds;
+  std::vector<query::CompiledPredicate> preds;
   preds.reserve(q.join_predicates().size());
-  for (const auto& p : q.join_predicates()) preds.push_back(p.get());
+  for (const auto& p : q.join_predicates()) {
+    preds.push_back(query::CompiledPredicate::Compile(*p));
+  }
 
   const int threads = runner != nullptr ? runner->threads() : 1;
   if (threads <= 1 || left.size() < 512) {

@@ -10,7 +10,7 @@
 #include "sensjoin/join/result.h"
 #include "sensjoin/join/stats.h"
 #include "sensjoin/net/flooding.h"
-#include "sensjoin/query/expr_eval.h"
+#include "sensjoin/query/compiled_predicate.h"
 
 namespace sensjoin::join {
 namespace {
@@ -89,13 +89,16 @@ StatusOr<ExecutionReport> SemiJoinExecutor::Execute(
     for (int idx : a_attrs) proj.values[idx] = a->values[idx];
     a_projections.push_back(std::move(proj));
   }
+  std::vector<query::CompiledPredicate> join_preds;
+  for (const auto& p : q.join_predicates()) {
+    join_preds.push_back(query::CompiledPredicate::Compile(*p));
+  }
   auto b_has_partner = [&](const data::Tuple& b) {
     for (const data::Tuple& a : a_projections) {
-      std::vector<const data::Tuple*> pair = {&a, &b};
-      query::TupleContext pair_ctx(pair);
+      const double* rows[2] = {a.values.data(), b.values.data()};
       bool match = true;
-      for (const auto& p : q.join_predicates()) {
-        if (!query::EvalPredicate(*p, pair_ctx)) {
+      for (const query::CompiledPredicate& p : join_preds) {
+        if (!p.Eval(rows)) {
           match = false;
           break;
         }

@@ -4,28 +4,19 @@
 
 #include "sensjoin/common/logging.h"
 #include "sensjoin/join/join_filter.h"
-#include "sensjoin/query/expr_eval.h"
 
 namespace sensjoin::join {
-namespace {
-
-/// Evaluates table `t`'s selection over `tuple` standing in for that table.
-bool PassesSelection(const query::AnalyzedQuery& q, int t,
-                     const data::Tuple& tuple) {
-  const query::Expr* selection = q.table(t).selection.get();
-  if (selection == nullptr) return true;
-  std::vector<const data::Tuple*> assignment(q.num_tables(), nullptr);
-  assignment[t] = &tuple;
-  query::TupleContext ctx(std::move(assignment));
-  return query::EvalPredicate(*selection, ctx);
-}
-
-}  // namespace
 
 ExecutorContext::ExecutorContext(const data::NetworkData& data,
                                  const query::AnalyzedQuery& q,
                                  uint64_t epoch)
     : data_(&data), query_(&q) {
+  for (const query::AnalyzedTable& table : q.tables()) {
+    selections_.push_back(
+        table.selection != nullptr
+            ? std::optional(query::CompiledPredicate::Compile(*table.selection))
+            : std::nullopt);
+  }
   relation_names_ = q.RelationNames();
   table_relation_bit_ = TableRelationBits(q);
   SENSJOIN_CHECK_LE(relation_names_.size(), 6u);
@@ -58,7 +49,7 @@ ExecutorContext::ExecutorContext(const data::NetworkData& data,
     for (int t = 0; t < q.num_tables(); ++t) {
       const int r = table_relation_bit_[t];
       if (!data.BelongsTo(id, relation_names_[r])) continue;
-      if (!PassesSelection(q, t, tuple)) continue;
+      if (!PassesSelection(t, tuple)) continue;
       membership |= static_cast<uint8_t>(1u << r);
     }
     if (membership == 0) continue;
@@ -72,7 +63,16 @@ ExecutorContext::ExecutorContext(const data::NetworkData& data,
 bool ExecutorContext::PassesTable(const data::Tuple& tuple, int table) const {
   const int r = table_relation_bit_[table];
   if (!data_->BelongsTo(tuple.node, relation_names_[r])) return false;
-  return PassesSelection(*query_, table, tuple);
+  return PassesSelection(table, tuple);
+}
+
+bool ExecutorContext::PassesSelection(int table,
+                                      const data::Tuple& tuple) const {
+  if (!selections_[table].has_value()) return true;
+  // A selection reads only its own table's row.
+  std::vector<const double*> rows(selections_.size(), nullptr);
+  rows[table] = tuple.values.data();
+  return selections_[table]->Eval(rows.data());
 }
 
 std::vector<std::vector<const data::Tuple*>> ExecutorContext::

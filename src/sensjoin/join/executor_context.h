@@ -2,11 +2,13 @@
 #define SENSJOIN_JOIN_EXECUTOR_CONTEXT_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "sensjoin/data/network_data.h"
 #include "sensjoin/data/tuple.h"
+#include "sensjoin/query/compiled_predicate.h"
 #include "sensjoin/query/query.h"
 #include "sensjoin/sim/time.h"
 
@@ -52,8 +54,13 @@ class ExecutorContext {
       const std::vector<data::Tuple>& candidates) const;
 
  private:
+  /// Evaluates table `table`'s selection over `tuple` standing in for it.
+  bool PassesSelection(int table, const data::Tuple& tuple) const;
+
   const data::NetworkData* data_;
   const query::AnalyzedQuery* query_;
+  /// Compiled selection per FROM entry (nullopt: none).
+  std::vector<std::optional<query::CompiledPredicate>> selections_;
   std::vector<std::string> relation_names_;
   std::vector<int> table_relation_bit_;
   std::vector<NodeInfo> infos_;
