@@ -213,6 +213,42 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- exact_join_fuzz ----------------------------------------------------
+  {
+    const std::filesystem::path dir = root / "exact_join_fuzz";
+    std::filesystem::create_directories(dir);
+    // Framing: shape byte (table count, SELECT list), template byte (a
+    // probe-friendly conjunct when % 3 != 0), predicate grammar bytes, the
+    // template's literal byte, pool size, per tuple a node byte and four
+    // value bytes (< 200: grid values), then two mask bytes per table.
+    for (int s = 0; s < 16; ++s) {
+      std::vector<uint8_t> seed = {static_cast<uint8_t>(s % 12),
+                                   static_cast<uint8_t>(1 + 3 * (s % 8))};
+      if (s < 8) {
+        // "A.temp <cmp> B.temp": comparison, attribute leaf, attribute leaf.
+        seed.insert(seed.end(), {0, 0, 8, static_cast<uint8_t>(s % 6), 0, 9});
+      } else {
+        const int n = 6 + static_cast<int>(rng.NextUint64() % 16);
+        for (int i = 0; i < n; ++i) {
+          seed.push_back(static_cast<uint8_t>(rng.NextUint64()));
+        }
+      }
+      seed.push_back(static_cast<uint8_t>(s));  // template literal
+      seed.push_back(12);                       // pool size
+      for (int i = 0; i < 12; ++i) {
+        seed.push_back(static_cast<uint8_t>(i % 8));
+        for (int a = 0; a < 4; ++a) {
+          // Mostly grid values, now and then a special value selector.
+          const uint64_t r = rng.NextUint64();
+          seed.push_back(static_cast<uint8_t>(r % 10 == 0 ? 200 + r % 6
+                                                          : r % 200));
+        }
+      }
+      seed.insert(seed.end(), 6, 0xFF);
+      WriteSeed(dir, "seed" + std::to_string(s), seed);
+    }
+  }
+
   std::printf("wrote seed corpora under %s\n", root.string().c_str());
   return 0;
 }
