@@ -14,11 +14,6 @@
 namespace sensjoin::join {
 namespace {
 
-/// Levels with fewer candidates than this are scanned: a probe costs an
-/// interval walk and two binary searches, about what a handful of compiled
-/// residual checks cost.
-constexpr size_t kMinIndexedCandidates = 8;
-
 /// Running state of one aggregate SELECT item.
 struct Accumulator {
   query::AggregateKind kind = query::AggregateKind::kNone;
@@ -93,42 +88,26 @@ struct Level {
   };
   std::vector<Probe> probes;
   std::vector<SortedIndex> indexes;  ///< one per probed attribute
-  /// Scratch of the in-range visit (see VisitInRange).
-  std::vector<uint32_t> sorted_scratch;
-  std::vector<uint64_t> bits;
+  std::vector<uint64_t> bits;        ///< VisitInRange scratch, all zero
 };
 
 /// Calls visit(p) for every position of idx.positions[begin, end) and every
 /// NaN position, in ascending position order, which is the order the
-/// nested loop visits candidates in. Few positions are sorted; many are
-/// set in a bitmap over all candidates and read back word by word. Either
-/// way the level's scratch is left empty for the next visit.
+/// nested loop visits candidates in: the positions are set in the level's
+/// bitmap over its candidates and read back word by word, which clears it
+/// for the next visit.
 template <typename Visit>
-void VisitInRange(Level& level, const SortedIndex& idx, size_t begin,
-                  size_t end, size_t num_candidates, const Visit& visit) {
-  const size_t count = end - begin + idx.nan_positions.size();
-  const size_t words = (num_candidates + 63) / 64;
-  if (count * 4 < words) {
-    std::vector<uint32_t>& sorted = level.sorted_scratch;
-    sorted.assign(idx.positions.begin() + begin, idx.positions.begin() + end);
-    sorted.insert(sorted.end(), idx.nan_positions.begin(),
-                  idx.nan_positions.end());
-    std::sort(sorted.begin(), sorted.end());
-    for (uint32_t p : sorted) visit(p);
-    return;
-  }
-  std::vector<uint64_t>& bits = level.bits;
-  bits.resize(words, 0);
+void VisitInRange(std::vector<uint64_t>& bits, const SortedIndex& idx,
+                  size_t begin, size_t end, const Visit& visit) {
   for (size_t i = begin; i < end; ++i) {
     bits[idx.positions[i] / 64] |= uint64_t{1} << (idx.positions[i] % 64);
   }
   for (uint32_t p : idx.nan_positions) bits[p / 64] |= uint64_t{1} << (p % 64);
-  for (size_t w = 0; w < words; ++w) {
+  for (size_t w = 0; w < bits.size(); ++w) {
     uint64_t word = bits[w];
     bits[w] = 0;
-    while (word != 0) {
+    for (; word != 0; word &= word - 1) {
       visit(static_cast<uint32_t>(w * 64 + std::countr_zero(word)));
-      word &= word - 1;
     }
   }
 }
@@ -180,7 +159,6 @@ JoinResult ComputeExactJoin(
     const int t = *tables.rbegin();
     Level& level = levels[t];
     level.residual.push_back(query::CompiledPredicate::Compile(*p));
-    if (per_table_tuples[t].size() < kMinIndexedCandidates) continue;
     for (query::ProbeConstraint& c : query::ProbeConstraint::Extract(*p, t)) {
       size_t index = 0;
       while (index < level.indexes.size() &&
@@ -192,6 +170,9 @@ JoinResult ComputeExactJoin(
       }
       level.probes.push_back({std::move(c), index});
     }
+  }
+  for (int t = 0; t < num_tables; ++t) {
+    levels[t].bits.assign((per_table_tuples[t].size() + 63) / 64, 0);
   }
 
   // Contributors as bits over the distinct candidate node ids (sorted, so
@@ -295,8 +276,7 @@ JoinResult ComputeExactJoin(
           best_end = end;
         }
       }
-      VisitInRange(level, *best, best_begin, best_end, cands.size(),
-                   try_candidate);
+      VisitInRange(level.bits, *best, best_begin, best_end, try_candidate);
     }
     rows[t] = nullptr;
   };
