@@ -16,7 +16,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -40,7 +39,6 @@ class Bytes {
  public:
   Bytes(const uint8_t* data, size_t size) : data_(data), size_(size) {}
   uint8_t Next() { return pos_ < size_ ? data_[pos_++] : 0; }
-  bool empty() const { return pos_ >= size_; }
 
  private:
   const uint8_t* data_;
@@ -49,9 +47,9 @@ class Bytes {
 };
 
 const char* const kAttrs[] = {"x", "y", "temp", "hum"};
-const char* const kLiterals[] = {"0",   "0.5",    "1",      "2.5",
-                                 "3",   "0.1",    "7.7",    "1e-300",
-                                 "1e300", "1e-320", "1000000.1", "0.3"};
+const char* const kLiterals[] = {
+    "0",   "0.5",   "1",      "2.5",       "3",   "0.1",
+    "7.7", "1e-300", "1e300", "1e-320", "1000000.1", "0.3"};
 const char* const kCmps[] = {" < ", " <= ", " > ", " >= ", " = ", " != "};
 
 std::string Attr(Bytes* in, int num_tables) {
@@ -66,40 +64,42 @@ std::string Num(Bytes* in, int num_tables, int depth) {
     return b % 2 == 0 ? Attr(in, num_tables)
                       : kLiterals[in->Next() % std::size(kLiterals)];
   }
-  auto sub = [&] { return Num(in, num_tables, depth - 1); };
+  // Operands are decoded into locals first: the order in which operands
+  // of an expression are evaluated is unspecified, and decoding must
+  // consume the bytes in one order on every compiler.
+  static constexpr int kArity[13] = {0, 0, 0, 2, 2, 2, 2, 1, 1, 1, 2, 2, 4};
+  std::string a[4];
+  for (int i = 0; i < kArity[b % 13]; ++i) {
+    a[i] = Num(in, num_tables, depth - 1);
+  }
   switch (b % 13) {
     case 2: return Attr(in, num_tables);
-    case 3: return "(" + sub() + " + " + sub() + ")";
-    case 4: return "(" + sub() + " - " + sub() + ")";
-    case 5: return "(" + sub() + " * " + sub() + ")";
-    case 6: return "(" + sub() + " / " + sub() + ")";
-    case 7: return "-(" + sub() + ")";
-    case 8: return "abs(" + sub() + ")";
-    case 9: return "sqrt(" + sub() + ")";
-    case 10: return "min(" + sub() + ", " + sub() + ")";
-    case 11: return "max(" + sub() + ", " + sub() + ")";
+    case 3: return "(" + a[0] + " + " + a[1] + ")";
+    case 4: return "(" + a[0] + " - " + a[1] + ")";
+    case 5: return "(" + a[0] + " * " + a[1] + ")";
+    case 6: return "(" + a[0] + " / " + a[1] + ")";
+    case 7: return "-(" + a[0] + ")";
+    case 8: return "abs(" + a[0] + ")";
+    case 9: return "sqrt(" + a[0] + ")";
+    case 10: return "min(" + a[0] + ", " + a[1] + ")";
+    case 11: return "max(" + a[0] + ", " + a[1] + ")";
     default:
-      return "distance(" + sub() + ", " + sub() + ", " + sub() + ", " + sub() +
+      return "distance(" + a[0] + ", " + a[1] + ", " + a[2] + ", " + a[3] +
              ")";
   }
 }
 
 std::string Pred(Bytes* in, int num_tables, int depth) {
   const uint8_t b = in->Next();
-  if (depth > 0) {
-    switch (b % 9) {
-      case 6:
-        return "(" + Pred(in, num_tables, depth - 1) + " AND " +
-               Pred(in, num_tables, depth - 1) + ")";
-      case 7:
-        return "(" + Pred(in, num_tables, depth - 1) + " OR " +
-               Pred(in, num_tables, depth - 1) + ")";
-      case 8: return "NOT (" + Pred(in, num_tables, depth - 1) + ")";
-      default: break;
-    }
+  if (depth > 0 && b % 9 >= 6) {
+    const std::string lhs = Pred(in, num_tables, depth - 1);
+    if (b % 9 == 8) return "NOT (" + lhs + ")";
+    const std::string rhs = Pred(in, num_tables, depth - 1);
+    return "(" + lhs + (b % 9 == 6 ? " AND " : " OR ") + rhs + ")";
   }
-  return Num(in, num_tables, 3) + kCmps[in->Next() % 6] +
-         Num(in, num_tables, 3);
+  const std::string lhs = Num(in, num_tables, 3);
+  const char* cmp = kCmps[in->Next() % 6];
+  return lhs + cmp + Num(in, num_tables, 3);
 }
 
 /// Band, equality and distance conjuncts between A and B: the shapes whose
@@ -198,7 +198,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
   std::vector<std::vector<const Tuple*>> per_table(num_tables);
   for (int t = 0; t < num_tables; ++t) {
-    const uint16_t mask = static_cast<uint16_t>(in.Next() << 8 | in.Next());
+    const uint16_t high = in.Next();
+    const uint16_t mask = static_cast<uint16_t>(high << 8 | in.Next());
     for (int i = 0; i < pool_size; ++i) {
       if (mask == 0 || ((mask >> (i % 16)) & 1)) {
         per_table[t].push_back(&pool[i]);
