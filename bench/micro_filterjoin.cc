@@ -1,13 +1,17 @@
 // Microbenchmark for the base station's pre-computation join
 // (ComputeJoinFilter): the conservative interval-arithmetic join over
 // quantized join-attribute tuples. The base station is powered, but the
-// computation must still finish well within a query's response time.
+// computation must still finish well within a query's response time. The
+// "Naive" benchmarks run the exhaustive nested-loop reference join kept in
+// tests/reference_filter_join.h, so CI can check that the planned engine
+// never loses to it.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
 #include <string>
 
+#include "reference_filter_join.h"
 #include "sensjoin/common/rng.h"
 #include "sensjoin/data/schema.h"
 #include "sensjoin/join/join_filter.h"
@@ -52,14 +56,22 @@ PointSet CollectedSet(const JoinAttrCodec& codec, int n) {
   return set;
 }
 
-void RunFilterJoin(benchmark::State& state, FilterJoinStrategy strategy) {
+FilterJoinResult Planned(const query::AnalyzedQuery& q,
+                         const JoinAttrCodec& codec, const PointSet& collected) {
+  return ComputeJoinFilter(q, codec, collected);
+}
+
+using Engine = FilterJoinResult (*)(const query::AnalyzedQuery&,
+                                    const JoinAttrCodec&, const PointSet&);
+
+void RunFilterJoin(benchmark::State& state, Engine engine) {
   const query::AnalyzedQuery q = BenchQuery();
   const JoinAttrCodec codec = BenchCodec();
   const PointSet collected = CollectedSet(codec, state.range(0));
   size_t filter_size = 0;
   size_t evaluated = 0;
   for (auto _ : state) {
-    const FilterJoinResult r = ComputeJoinFilter(q, codec, collected, strategy);
+    const FilterJoinResult r = engine(q, codec, collected);
     filter_size = r.filter.size();
     evaluated = r.combinations_evaluated;
     benchmark::DoNotOptimize(filter_size);
@@ -71,26 +83,20 @@ void RunFilterJoin(benchmark::State& state, FilterJoinStrategy strategy) {
                           collected.size());
 }
 
-void BM_ComputeJoinFilter(benchmark::State& state) {
-  RunFilterJoin(state, FilterJoinStrategy::kAuto);
-}
-BENCHMARK(BM_ComputeJoinFilter)->Arg(100)->Arg(400)->Arg(1500)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_ComputeJoinFilterNaive(benchmark::State& state) {
-  RunFilterJoin(state, FilterJoinStrategy::kNaive);
+  RunFilterJoin(state, reference::ReferenceJoinFilter);
 }
 BENCHMARK(BM_ComputeJoinFilterNaive)->Arg(100)->Arg(400)->Arg(1500)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ComputeJoinFilterIndexed(benchmark::State& state) {
-  RunFilterJoin(state, FilterJoinStrategy::kIndexed);
+  RunFilterJoin(state, Planned);
 }
 BENCHMARK(BM_ComputeJoinFilterIndexed)->Arg(100)->Arg(400)->Arg(1500)
     ->Unit(benchmark::kMillisecond);
 
 // Three-relation chain: a temp band on A-B, a proximity join on B-C. The
-// naive engine is cubic in the collected size, so the arguments stay small.
+// reference engine is cubic in the collected size, so the arguments stay small.
 query::AnalyzedQuery ThreeWayQuery() {
   auto q = query::AnalyzedQuery::FromString(
       "SELECT A.hum, B.hum, C.hum FROM sensors A, sensors B, sensors C "
@@ -101,13 +107,13 @@ query::AnalyzedQuery ThreeWayQuery() {
   return std::move(q).value();
 }
 
-void RunThreeWay(benchmark::State& state, FilterJoinStrategy strategy) {
+void RunThreeWay(benchmark::State& state, Engine engine) {
   const query::AnalyzedQuery q = ThreeWayQuery();
   const JoinAttrCodec codec = BenchCodec();
   const PointSet collected = CollectedSet(codec, state.range(0));
   size_t filter_size = 0;
   for (auto _ : state) {
-    const FilterJoinResult r = ComputeJoinFilter(q, codec, collected, strategy);
+    const FilterJoinResult r = engine(q, codec, collected);
     filter_size = r.filter.size();
     benchmark::DoNotOptimize(filter_size);
   }
@@ -116,13 +122,13 @@ void RunThreeWay(benchmark::State& state, FilterJoinStrategy strategy) {
 }
 
 void BM_ComputeJoinFilter3WayNaive(benchmark::State& state) {
-  RunThreeWay(state, FilterJoinStrategy::kNaive);
+  RunThreeWay(state, reference::ReferenceJoinFilter);
 }
 BENCHMARK(BM_ComputeJoinFilter3WayNaive)->Arg(60)->Arg(150)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ComputeJoinFilter3WayIndexed(benchmark::State& state) {
-  RunThreeWay(state, FilterJoinStrategy::kIndexed);
+  RunThreeWay(state, Planned);
 }
 BENCHMARK(BM_ComputeJoinFilter3WayIndexed)->Arg(60)->Arg(150)
     ->Unit(benchmark::kMillisecond);

@@ -1,18 +1,25 @@
-// Fuzzes the base station's exact join on decoded queries and tuples. Two
-// properties must hold for every input:
+// Fuzzes the base station's exact join and the compiled predicate
+// interpreters on decoded queries and tuples. Three properties must hold for
+// every input:
 //   1. the compiled scalar programs (CompiledPredicate::Eval / EvalValue)
-//      agree bit for bit with the tree walkers EvalPredicate / EvalScalar on
-//      every join predicate and SELECT expression;
+//      agree bit for bit with the reference tree walkers EvalPredicate /
+//      EvalScalar on every join predicate and SELECT expression;
 //   2. ComputeExactJoin (the indexed plan) returns the same JoinResult, bit
-//      for bit, as the nested-loop reference DFS it replaced.
+//      for bit, as the nested-loop reference DFS it replaced;
+//   3. the compiled interval programs agree bit for bit with the reference
+//      interval walkers EvalTri / EvalInterval, over interval rows that hull
+//      each decoded value with the next pool tuple's value of the same
+//      attribute (NaN and infinities included).
 //
 // Framing: byte 0 picks the table count and the SELECT list, byte 1 a
 // probe-friendly template conjunct; then an expression program (one byte per
-// grammar decision) builds a random join predicate; the remaining bytes
+// grammar decision) builds a random join predicate, one branch of which
+// nests deeper than the interpreters' fixed stacks; the remaining bytes
 // decode tuples (one selector byte per value: small grid values, special
 // values, or eight raw bytes bit-cast to a double) and each table's
 // candidate subset.
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -21,10 +28,11 @@
 #include <vector>
 
 #include "reference_exact_join.h"
+#include "reference_expr_eval.h"
+#include "reference_filter_join.h"
 #include "sensjoin/data/schema.h"
 #include "sensjoin/join/result.h"
 #include "sensjoin/query/compiled_predicate.h"
-#include "sensjoin/query/expr_eval.h"
 #include "sensjoin/query/query.h"
 
 namespace {
@@ -33,6 +41,8 @@ using sensjoin::data::Tuple;
 using sensjoin::join::JoinResult;
 using sensjoin::query::AnalyzedQuery;
 using sensjoin::query::CompiledPredicate;
+using sensjoin::query::Interval;
+namespace ref = sensjoin::query::reference;
 
 /// Sequential reader over the input; yields zeros once exhausted.
 class Bytes {
@@ -89,8 +99,36 @@ std::string Num(Bytes* in, int num_tables, int depth) {
   }
 }
 
+/// A right-deep chain of 33 to 48 binary operations: its postfix program
+/// keeps every left operand on the stack, deeper than kMaxStack.
+std::string Deep(Bytes* in, int num_tables) {
+  const int n = 33 + in->Next() % 16;
+  std::vector<std::string> terms;
+  std::vector<uint8_t> ops;
+  for (int i = 0; i <= n; ++i) {
+    terms.push_back(Num(in, num_tables, 0));
+    ops.push_back(in->Next());
+  }
+  std::string rest = terms[n];
+  for (int i = n - 1; i >= 0; --i) {
+    switch (ops[i] % 6) {
+      case 0: rest = "(" + terms[i] + " + " + rest + ")"; break;
+      case 1: rest = "(" + terms[i] + " - " + rest + ")"; break;
+      case 2: rest = "(" + terms[i] + " * " + rest + ")"; break;
+      case 3: rest = "(" + terms[i] + " / " + rest + ")"; break;
+      case 4: rest = "min(" + terms[i] + ", " + rest + ")"; break;
+      default: rest = "max(" + terms[i] + ", " + rest + ")"; break;
+    }
+  }
+  return rest;
+}
+
 std::string Pred(Bytes* in, int num_tables, int depth) {
   const uint8_t b = in->Next();
+  if (b % 9 == 5) {
+    const char* cmp = kCmps[in->Next() % 6];
+    return Deep(in, num_tables) + cmp + Num(in, num_tables, 1);
+  }
   if (depth > 0 && b % 9 >= 6) {
     const std::string lhs = Pred(in, num_tables, depth - 1);
     if (b % 9 == 8) return "NOT (" + lhs + ")";
@@ -196,6 +234,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     pool[i].node = in.Next() % 8;
     for (int a = 0; a < 4; ++a) pool[i].values.push_back(Value(&in));
   }
+  // Property 3's interval rows: each value hulled with the next tuple's.
+  std::vector<std::vector<Interval>> boxes(pool_size);
+  for (int i = 0; i < pool_size; ++i) {
+    const Tuple& next = pool[(i + 1) % pool_size];
+    for (int a = 0; a < 4; ++a) {
+      const double u = pool[i].values[a];
+      const double v = next.values[a];
+      boxes[i].push_back({std::min(u, v), std::max(u, v)});
+    }
+  }
   std::vector<std::vector<const Tuple*>> per_table(num_tables);
   for (int t = 0; t < num_tables; ++t) {
     const uint16_t high = in.Next();
@@ -207,7 +255,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
   }
 
-  // Property 1 on every full assignment (bounded).
+  // Properties 1 and 3 on every full assignment (bounded).
   std::vector<CompiledPredicate> preds;
   for (const auto& p : q.join_predicates()) {
     preds.push_back(CompiledPredicate::Compile(*p));
@@ -224,14 +272,20 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   for (int n = 0; any && n < 256; ++n) {
     std::vector<const Tuple*> assignment(num_tables);
     std::vector<const double*> rows(num_tables);
+    std::vector<const std::vector<Interval>*> box_rows(num_tables);
+    std::vector<const Interval*> interval_rows(num_tables);
     for (int t = 0; t < num_tables; ++t) {
       assignment[t] = per_table[t][pos[t]];
       rows[t] = assignment[t]->values.data();
+      box_rows[t] = &boxes[assignment[t] - pool.data()];
+      interval_rows[t] = box_rows[t]->data();
     }
-    const sensjoin::query::TupleContext ctx(assignment);
+    const ref::TupleContext ctx(assignment);
+    const ref::RowIntervalContext ictx(box_rows);
     for (size_t i = 0; i < preds.size(); ++i) {
-      if (preds[i].Eval(rows.data()) !=
-          sensjoin::query::EvalPredicate(*q.join_predicates()[i], ctx)) {
+      const sensjoin::query::Expr& pred = *q.join_predicates()[i];
+      if (preds[i].Eval(rows.data()) != ref::EvalPredicate(pred, ctx) ||
+          preds[i].Eval(interval_rows.data()) != ref::EvalTri(pred, ictx)) {
         __builtin_trap();
       }
     }
@@ -239,7 +293,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     for (const auto& item : q.select()) {
       if (item.expr == nullptr) continue;
       if (!SameBits(values[v++].EvalValue(rows.data()),
-                    sensjoin::query::EvalScalar(*item.expr, ctx))) {
+                    ref::EvalScalar(*item.expr, ctx))) {
         __builtin_trap();
       }
     }

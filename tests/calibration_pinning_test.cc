@@ -11,9 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_expr_eval.h"
 #include "sensjoin/join/executor_context.h"
 #include "sensjoin/join/result.h"
-#include "sensjoin/query/expr_eval.h"
 #include "sensjoin/sensjoin.h"
 #include "util/calibration.h"
 #include "util/workloads.h"
@@ -47,10 +47,10 @@ double ReferenceFraction(testbed::Testbed& tb, const query::AnalyzedQuery& q,
     for (const data::Tuple* l : per_table[0]) {
       for (const data::Tuple* r : per_table[1]) {
         std::vector<const data::Tuple*> pair = {l, r};
-        query::TupleContext pair_ctx(pair);
+        query::reference::TupleContext pair_ctx(pair);
         bool match = true;
         for (const auto& p : q.join_predicates()) {
-          if (!query::EvalPredicate(*p, pair_ctx)) {
+          if (!query::reference::EvalPredicate(*p, pair_ctx)) {
             match = false;
             break;
           }

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "reference_exact_join.h"
+#include "reference_expr_eval.h"
 #include "sensjoin/common/rng.h"
 #include "sensjoin/data/schema.h"
 #include "sensjoin/join/result.h"
@@ -418,16 +419,18 @@ TEST(ExactJoinOracleTest, CompiledScalarMatchesTreeWalkers) {
   for (int trial = 0; trial < 3000; ++trial) {
     const data::Tuple a = RandomTuples(&rng, 1)[0];
     const data::Tuple b = RandomTuples(&rng, 1)[0];
-    const query::TupleContext ctx({&a, &b});
+    const query::reference::TupleContext ctx({&a, &b});
     const double* rows[2] = {a.values.data(), b.values.data()};
     for (size_t i = 0; i < values.size(); ++i) {
-      const double want = query::EvalScalar(*q.select()[i].expr, ctx);
+      const double want =
+          query::reference::EvalScalar(*q.select()[i].expr, ctx);
       const double got = values[i].EvalValue(rows);
       ASSERT_TRUE(SameBits(want, got))
           << q.select()[i].label << ": " << got << ", want " << want;
     }
     for (size_t i = 0; i < preds.size(); ++i) {
-      ASSERT_EQ(query::EvalPredicate(*preds[i], ctx), compiled[i].Eval(rows))
+      ASSERT_EQ(query::reference::EvalPredicate(*preds[i], ctx),
+                compiled[i].Eval(rows))
           << preds[i]->ToString();
     }
   }

@@ -14,15 +14,15 @@
 #include <limits>
 #include <set>
 
+#include "reference_expr_eval.h"
 #include "sensjoin/common/logging.h"
 #include "sensjoin/join/result.h"
-#include "sensjoin/query/expr_eval.h"
 
 namespace sensjoin::join::reference {
 namespace detail {
 
 /// ScalarContext over an in-progress table->tuple assignment.
-class AssignmentContext : public query::ScalarContext {
+class AssignmentContext : public query::reference::ScalarContext {
  public:
   explicit AssignmentContext(const std::vector<const data::Tuple*>* assignment)
       : assignment_(assignment) {}
@@ -126,7 +126,7 @@ inline JoinResult ReferenceExactJoin(
         for (size_t i = 0; i < q.select().size(); ++i) {
           const query::SelectItem& item = q.select()[i];
           const double v = item.expr != nullptr
-                               ? query::EvalScalar(*item.expr, ctx)
+                               ? query::reference::EvalScalar(*item.expr, ctx)
                                : 1.0;  // COUNT(*)
           accumulators[i].Update(v);
         }
@@ -141,7 +141,7 @@ inline JoinResult ReferenceExactJoin(
         } else {
           row.reserve(q.select().size());
           for (const query::SelectItem& item : q.select()) {
-            row.push_back(query::EvalScalar(*item.expr, ctx));
+            row.push_back(query::reference::EvalScalar(*item.expr, ctx));
           }
         }
         result.rows.push_back(std::move(row));
@@ -158,7 +158,7 @@ inline JoinResult ReferenceExactJoin(
       assignment[t] = tup;
       bool alive = true;
       for (const query::Expr* p : preds_at[t]) {
-        if (!query::EvalPredicate(*p, ctx)) {
+        if (!query::reference::EvalPredicate(*p, ctx)) {
           alive = false;
           break;
         }
