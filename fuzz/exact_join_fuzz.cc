@@ -292,8 +292,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     size_t v = 0;
     for (const auto& item : q.select()) {
       if (item.expr == nullptr) continue;
-      if (!SameBits(values[v++].EvalValue(rows.data()),
-                    ref::EvalScalar(*item.expr, ctx))) {
+      const CompiledPredicate& value = values[v++];
+      const Interval got = value.EvalValue(interval_rows.data());
+      const Interval want = ref::EvalInterval(*item.expr, ictx);
+      if (!SameBits(value.EvalValue(rows.data()),
+                    ref::EvalScalar(*item.expr, ctx)) ||
+          !SameBits(got.lo, want.lo) || !SameBits(got.hi, want.hi)) {
         __builtin_trap();
       }
     }

@@ -3,43 +3,22 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <map>
 #include <set>
 #include <utility>
 
 #include "sensjoin/common/logging.h"
-#include "sensjoin/query/interval_eval.h"
 
 namespace sensjoin::join {
 namespace {
-
-/// IntervalContext over an in-progress table->row assignment (same values
-/// the naive engine's context serves; constraint evaluation reads through
-/// it).
-class AssignmentContext : public query::IntervalContext {
- public:
-  explicit AssignmentContext(
-      const std::vector<const query::Interval*>* assignment)
-      : assignment_(assignment) {}
-
-  query::Interval Value(int table_index, int attr_index) const override {
-    const query::Interval* row = (*assignment_)[table_index];
-    SENSJOIN_DCHECK(row != nullptr);
-    return row[attr_index];
-  }
-
- private:
-  const std::vector<const query::Interval*>* assignment_;
-};
 
 /// Maps a conservative allowed interval of raw values to the inclusive
 /// coordinate range of quantization cells whose intervals intersect it,
 /// widened by one cell on each side: the inverse constraint arithmetic and
 /// the forward predicate evaluation round independently, and a full cell of
 /// slack (orders of magnitude above ulp-level disagreement) keeps the probe
-/// a strict superset of what the naive engine retains. Returns false when
+/// a strict superset of what the predicates retain. Returns false when
 /// the range is empty (the predicate is certainly false for every cell).
 bool CellRange(const Quantizer& quant, int dim, query::Interval allowed,
                uint32_t* lo_out, uint32_t* hi_out) {
@@ -158,8 +137,7 @@ FilterJoinPlan::FilterJoinPlan(const query::AnalyzedQuery& q,
       }
       if (!complete) continue;
       scheduled[p] = true;
-      level.preds.push_back(preds[p].get());
-      level.compiled.push_back(query::CompiledPredicate::Compile(*preds[p]));
+      level.preds.push_back(query::CompiledPredicate::Compile(*preds[p]));
       // A predicate completing at this level necessarily references this
       // level's table, so its probe extraction targets `best`.
       for (Probe& probe : ext[p][best]) {
@@ -171,10 +149,11 @@ FilterJoinPlan::FilterJoinPlan(const query::AnalyzedQuery& q,
   }
 }
 
-FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
-                                          const JoinAttrCodec& codec,
-                                          const PointSet& collected,
-                                          const FilterJoinPlan& plan) {
+FilterJoinResult RunFilterJoinPlan(const FilterJoinPlan& plan,
+                                   const query::AnalyzedQuery& q,
+                                   const JoinAttrCodec& codec,
+                                   const PointSet& collected,
+                                   const std::vector<uint64_t>* added) {
   const std::vector<uint64_t>& keys = collected.keys();
   const int num_tables = q.num_tables();
   const int num_attrs = q.schema().num_attributes();
@@ -182,10 +161,10 @@ FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
   const int num_dims = quant.num_dims();
   SENSJOIN_CHECK(keys.size() < std::numeric_limits<uint32_t>::max());
 
-  // Interval row and per-dimension coordinates per key (the same cell
-  // decoding the naive engine performs, plus the raw coordinates the
-  // indexes sort by). Rows live in one contiguous block — the candidate
-  // re-evaluation loop is the hot path and reads them in random key order.
+  // Interval row and per-dimension coordinates per key (the cell decoding
+  // plus the raw coordinates the indexes sort by). Rows live in one
+  // contiguous block — the candidate re-evaluation loop is the hot path and
+  // reads them in random key order.
   std::vector<query::Interval> rows(keys.size() * num_attrs);
   std::vector<uint32_t> coords(keys.size() * num_dims);
   for (size_t k = 0; k < keys.size(); ++k) {
@@ -197,8 +176,9 @@ FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
     }
   }
 
-  // Eligibility per table (identical to the naive engine). Tables of the
-  // same relation share the class, so indexes are cached per relation bit.
+  // Eligibility per table: a key serves table t iff its relation flags
+  // include t's relation. Tables of the same relation share the class, so
+  // indexes are cached per relation bit.
   const std::vector<int> rel_bits = TableRelationBits(q);
   std::vector<std::vector<uint32_t>> eligible(num_tables);
   for (size_t k = 0; k < keys.size(); ++k) {
@@ -206,6 +186,29 @@ FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
     for (int t = 0; t < num_tables; ++t) {
       if (codec.flag_bits() == 0 || ((flags >> rel_bits[t]) & 1)) {
         eligible[t].push_back(static_cast<uint32_t>(k));
+      }
+    }
+  }
+
+  // Candidate pools of the delta enumeration: per table, the eligible keys
+  // split into added and other ("old") ones.
+  enum class Pool : uint8_t { kAll, kOld, kAdded };
+  std::vector<char> is_added;
+  std::vector<std::vector<uint32_t>> old_only;
+  std::vector<std::vector<uint32_t>> added_only;
+  if (added != nullptr) {
+    is_added.assign(keys.size(), 0);
+    for (uint64_t key : *added) {
+      const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+      SENSJOIN_CHECK(it != keys.end() && *it == key)
+          << "added key missing from the collected set";
+      is_added[static_cast<size_t>(it - keys.begin())] = 1;
+    }
+    old_only.resize(num_tables);
+    added_only.resize(num_tables);
+    for (int t = 0; t < num_tables; ++t) {
+      for (uint32_t k : eligible[t]) {
+        (is_added[k] ? added_only[t] : old_only[t]).push_back(k);
       }
     }
   }
@@ -232,13 +235,11 @@ FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
   };
 
   FilterJoinResult result(codec.EmptySet());
-  result.used_index = plan.has_probes();
   result.constraints_extracted =
       static_cast<size_t>(plan.num_constraints());
   std::vector<char> matched(keys.size(), 0);
   std::vector<const query::Interval*> assignment(num_tables, nullptr);
   std::vector<uint32_t> level_key(num_tables, 0);
-  const AssignmentContext ctx(&assignment);
   const std::vector<FilterJoinPlan::Level>& levels = plan.levels();
 
   // Per-dimension combined coordinate window, scratch per level.
@@ -249,6 +250,7 @@ FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
   };
   std::vector<std::vector<DimWindow>> windows(levels.size());
 
+  int pivot = 0;
   auto dfs = [&](auto&& self, int li) -> void {
     if (li == num_tables) {
       ++result.combinations_matched;
@@ -257,21 +259,26 @@ FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
     }
     const FilterJoinPlan::Level& level = levels[li];
     const int t = level.table;
+    const Pool pool = added == nullptr ? Pool::kAll
+                      : li < pivot     ? Pool::kOld
+                      : li == pivot    ? Pool::kAdded
+                                       : Pool::kAll;
+    const std::vector<uint32_t>& pool_keys =
+        pool == Pool::kAll ? eligible[t]
+                           : (pool == Pool::kOld ? old_only[t] : added_only[t]);
 
     auto try_key = [&](uint32_t k) {
       assignment[t] = &rows[static_cast<size_t>(k) * num_attrs];
       level_key[li] = k;
-      for (size_t i = 0; i < level.compiled.size(); ++i) {
+      for (const query::CompiledPredicate& pred : level.preds) {
         ++result.combinations_evaluated;
-        if (level.compiled[i].Eval(assignment.data()) == query::Tri::kFalse) {
-          return;
-        }
+        if (pred.Eval(assignment.data()) == query::Tri::kFalse) return;
       }
       self(self, li + 1);
     };
 
     if (level.probes.empty()) {
-      for (uint32_t k : eligible[t]) try_key(k);
+      for (uint32_t k : pool_keys) try_key(k);
       assignment[t] = nullptr;
       return;
     }
@@ -282,7 +289,8 @@ FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
     bool empty = false;
     for (const FilterJoinPlan::Probe& probe : level.probes) {
       ++result.index_probes;
-      const query::Interval allowed = probe.constraint.AllowedRange(ctx);
+      const query::Interval allowed =
+          probe.constraint.AllowedRange(assignment.data());
       uint32_t lo = 0;
       uint32_t hi = 0;
       if (!CellRange(quant, probe.dim, allowed, &lo, &hi)) {
@@ -305,6 +313,15 @@ FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
       assignment[t] = nullptr;
       return;
     }
+    // True iff key k lies inside every window but `skip`.
+    const auto inside = [&](uint32_t k, size_t skip) {
+      for (size_t w = 0; w < wins.size(); ++w) {
+        if (w == skip) continue;
+        const uint32_t c = coords[k * num_dims + wins[w].dim];
+        if (c < wins[w].lo || c > wins[w].hi) return false;
+      }
+      return true;
+    };
 
     // Probe the narrowest window's index; the other windows filter by a
     // plain coordinate compare.
@@ -327,22 +344,26 @@ FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
         best_end = best_begin + count;
       }
     }
-    for (const uint32_t* p = best_begin; p != best_end; ++p) {
-      const uint32_t k = *p;
-      bool inside = true;
-      for (size_t w = 0; w < wins.size(); ++w) {
-        if (w == best) continue;
-        const uint32_t c = coords[k * num_dims + wins[w].dim];
-        if (c < wins[w].lo || c > wins[w].hi) {
-          inside = false;
-          break;
-        }
+    if (pool_keys.size() < best_count) {
+      // A delta pool smaller than the window: scan the pool instead.
+      for (uint32_t k : pool_keys) {
+        if (inside(k, wins.size())) try_key(k);
       }
-      if (inside) try_key(k);
+    } else {
+      for (const uint32_t* p = best_begin; p != best_end; ++p) {
+        const uint32_t k = *p;
+        const bool in_pool = pool == Pool::kAll ||
+                             (is_added[k] != 0) == (pool == Pool::kAdded);
+        if (in_pool && inside(k, best)) try_key(k);
+      }
     }
     assignment[t] = nullptr;
   };
-  dfs(dfs, 0);
+  if (added == nullptr) {
+    dfs(dfs, 0);
+  } else {
+    for (pivot = 0; pivot < num_tables; ++pivot) dfs(dfs, 0);
+  }
 
   std::vector<uint64_t> filter_keys;
   for (size_t k = 0; k < keys.size(); ++k) {

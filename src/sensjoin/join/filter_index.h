@@ -1,6 +1,7 @@
 #ifndef SENSJOIN_JOIN_FILTER_INDEX_H_
 #define SENSJOIN_JOIN_FILTER_INDEX_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "sensjoin/join/join_attr_codec.h"
@@ -12,10 +13,10 @@
 
 namespace sensjoin::join {
 
-/// The indexed execution plan for the base station's pre-computation join:
-/// a table probing order plus, per nesting level, the residual predicates to
-/// evaluate and the compiled probe constraints that restrict that level's
-/// candidates to a contiguous range of a sorted per-dimension key index.
+/// The execution plan of the base station's pre-computation join: a table
+/// probing order plus, per nesting level, the compiled predicates to
+/// evaluate and the probe constraints that restrict that level's candidates
+/// to a contiguous range of a sorted per-dimension key index.
 ///
 /// Ordering heuristic (estimated selectivity proxy): the first table is the
 /// one referenced by the most join predicates — placing it early unlocks
@@ -24,10 +25,7 @@ namespace sensjoin::join {
 /// tables already placed, so every level after the first is probed through
 /// an index whenever the predicates allow it. Reordering is free: a full
 /// assignment matches iff every predicate is non-false, independent of the
-/// nesting order, so the result is identical to the naive left-to-right DFS.
-///
-/// Holds borrowed pointers into the query's predicate trees; the plan must
-/// not outlive the AnalyzedQuery.
+/// nesting order, so the result is identical to a left-to-right nested loop.
 class FilterJoinPlan {
  public:
   FilterJoinPlan(const query::AnalyzedQuery& q, const JoinAttrCodec& codec);
@@ -38,21 +36,19 @@ class FilterJoinPlan {
     int dim;  ///< quantizer dimension index of the constrained attribute
   };
 
-  /// One nesting level of the indexed DFS.
+  /// One nesting level of the DFS.
   struct Level {
     int table;  ///< original FROM index assigned at this level
     /// Predicates whose last referenced table (in probing order) is this
     /// level's; each is evaluated on every surviving candidate.
-    std::vector<const query::Expr*> preds;
-    std::vector<query::CompiledPredicate> compiled;  ///< parallel to preds
+    std::vector<query::CompiledPredicate> preds;
     std::vector<Probe> probes;
   };
 
   const std::vector<Level>& levels() const { return levels_; }
 
   /// True if at least one level can be probed through an index; when false,
-  /// the indexed path degenerates to the exhaustive DFS and the caller
-  /// should prefer the naive engine.
+  /// every level enumerates its eligible keys.
   bool has_probes() const { return num_constraints_ > 0; }
   int num_constraints() const { return num_constraints_; }
 
@@ -61,15 +57,23 @@ class FilterJoinPlan {
   int num_constraints_ = 0;
 };
 
-/// Indexed variant of ComputeJoinFilter: probes sorted per-dimension key
-/// indexes instead of enumerating all combinations. Produces a bit-identical
-/// filter and combinations_matched count to the naive engine (constraints
-/// are conservative supersets and every candidate is re-evaluated against
-/// the full predicates); combinations_evaluated is typically much smaller.
-FilterJoinResult ComputeJoinFilterIndexed(const query::AnalyzedQuery& q,
-                                          const JoinAttrCodec& codec,
-                                          const PointSet& collected,
-                                          const FilterJoinPlan& plan);
+/// Runs the plan's DFS over the keys of `collected`: probed levels visit the
+/// candidates inside their constraints' cell windows, the others all
+/// eligible keys, and every candidate is re-evaluated against the level's
+/// predicates, so the windows only skip certainly-false combinations. The
+/// result's filter holds the keys of every enumerated combination that no
+/// predicate rejects.
+///
+/// With `added` null, every combination of eligible keys is enumerated.
+/// Otherwise (`added` ⊆ collected) exactly the combinations touching at
+/// least one added key are, each once: for every pivot level p, the levels
+/// before p draw from the other keys only, level p from the added keys, and
+/// the levels after p from all keys.
+FilterJoinResult RunFilterJoinPlan(const FilterJoinPlan& plan,
+                                   const query::AnalyzedQuery& q,
+                                   const JoinAttrCodec& codec,
+                                   const PointSet& collected,
+                                   const std::vector<uint64_t>* added);
 
 }  // namespace sensjoin::join
 

@@ -1,39 +1,11 @@
 #include "sensjoin/join/join_filter.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "sensjoin/common/logging.h"
 #include "sensjoin/join/filter_index.h"
-#include "sensjoin/query/interval_eval.h"
 
 namespace sensjoin::join {
-namespace {
-
-/// IntervalContext over an in-progress table->row assignment.
-class AssignmentContext : public query::IntervalContext {
- public:
-  explicit AssignmentContext(
-      const std::vector<const std::vector<query::Interval>*>* assignment)
-      : assignment_(assignment) {}
-
-  query::Interval Value(int table_index, int attr_index) const override {
-    const std::vector<query::Interval>* row = (*assignment_)[table_index];
-    SENSJOIN_DCHECK(row != nullptr);
-    return (*row)[attr_index];
-  }
-
- private:
-  const std::vector<const std::vector<query::Interval>*>* assignment_;
-};
-
-/// Exhaustive reference engine: nested-loop DFS over all eligible key
-/// combinations.
-FilterJoinResult ComputeJoinFilterNaive(const query::AnalyzedQuery& q,
-                                        const JoinAttrCodec& codec,
-                                        const PointSet& collected);
-
-}  // namespace
 
 std::vector<int> TableRelationBits(const query::AnalyzedQuery& q) {
   const std::vector<std::string> names = q.RelationNames();
@@ -52,195 +24,27 @@ std::vector<int> TableRelationBits(const query::AnalyzedQuery& q) {
 
 FilterJoinResult ComputeJoinFilter(const query::AnalyzedQuery& q,
                                    const JoinAttrCodec& codec,
-                                   const PointSet& collected,
-                                   FilterJoinStrategy strategy) {
-  if (strategy != FilterJoinStrategy::kNaive) {
-    const FilterJoinPlan plan(q, codec);
-    if (plan.has_probes() || strategy == FilterJoinStrategy::kIndexed) {
-      return ComputeJoinFilterIndexed(q, codec, collected, plan);
-    }
-    // kAuto with no extractable constraints: the indexed engine would only
-    // replay the exhaustive DFS with extra bookkeeping.
-  }
-  return ComputeJoinFilterNaive(q, codec, collected);
+                                   const PointSet& collected) {
+  return RunFilterJoinPlan(FilterJoinPlan(q, codec), q, codec, collected,
+                           /*added=*/nullptr);
 }
-
-namespace {
-
-/// Interval row per collected key, indexed by schema attribute index (only
-/// the quantizer's dimensions are meaningful; join predicates reference
-/// only those).
-std::vector<std::vector<query::Interval>> BuildIntervalRows(
-    const query::AnalyzedQuery& q, const JoinAttrCodec& codec,
-    const std::vector<uint64_t>& keys) {
-  const Quantizer& quant = codec.quantizer();
-  std::vector<std::vector<query::Interval>> rows(
-      keys.size(),
-      std::vector<query::Interval>(q.schema().num_attributes()));
-  for (size_t k = 0; k < keys.size(); ++k) {
-    const std::vector<query::Interval> cell = codec.KeyIntervals(keys[k]);
-    for (int d = 0; d < quant.num_dims(); ++d) {
-      rows[k][quant.dim(d).attr_index] = cell[d];
-    }
-  }
-  return rows;
-}
-
-/// Eligibility: key usable for table t iff its flags contain t's relation.
-std::vector<std::vector<size_t>> BuildEligibility(
-    const query::AnalyzedQuery& q, const JoinAttrCodec& codec,
-    const std::vector<uint64_t>& keys) {
-  const std::vector<int> rel_bits = TableRelationBits(q);
-  std::vector<std::vector<size_t>> eligible(q.num_tables());
-  for (size_t k = 0; k < keys.size(); ++k) {
-    const uint8_t flags = codec.KeyFlags(keys[k]);
-    for (int t = 0; t < q.num_tables(); ++t) {
-      if (codec.flag_bits() == 0 || ((flags >> rel_bits[t]) & 1)) {
-        eligible[t].push_back(k);
-      }
-    }
-  }
-  return eligible;
-}
-
-/// Evaluate each join predicate as soon as its last referenced table is
-/// assigned.
-std::vector<std::vector<const query::Expr*>> BuildPredsAt(
-    const query::AnalyzedQuery& q) {
-  std::vector<std::vector<const query::Expr*>> preds_at(q.num_tables());
-  for (const auto& p : q.join_predicates()) {
-    std::set<int> tables;
-    p->CollectTableIndices(&tables);
-    SENSJOIN_CHECK(!tables.empty());
-    preds_at[*tables.rbegin()].push_back(p.get());
-  }
-  return preds_at;
-}
-
-FilterJoinResult ComputeJoinFilterNaive(const query::AnalyzedQuery& q,
-                                        const JoinAttrCodec& codec,
-                                        const PointSet& collected) {
-  const std::vector<uint64_t>& keys = collected.keys();
-  const int num_tables = q.num_tables();
-  const auto rows = BuildIntervalRows(q, codec, keys);
-  const auto eligible = BuildEligibility(q, codec, keys);
-  const auto preds_at = BuildPredsAt(q);
-
-  FilterJoinResult result(codec.EmptySet());
-  std::vector<char> matched(keys.size(), 0);
-  std::vector<const std::vector<query::Interval>*> assignment(num_tables,
-                                                              nullptr);
-  std::vector<size_t> assigned_key(num_tables, 0);
-  AssignmentContext ctx(&assignment);
-
-  std::function<void(int)> dfs = [&](int t) {
-    if (t == num_tables) {
-      ++result.combinations_matched;
-      for (int i = 0; i < num_tables; ++i) matched[assigned_key[i]] = 1;
-      return;
-    }
-    for (size_t k : eligible[t]) {
-      assignment[t] = &rows[k];
-      assigned_key[t] = k;
-      bool alive = true;
-      for (const query::Expr* p : preds_at[t]) {
-        ++result.combinations_evaluated;
-        if (query::EvalTri(*p, ctx) == query::Tri::kFalse) {
-          alive = false;
-          break;
-        }
-      }
-      if (alive) dfs(t + 1);
-    }
-    assignment[t] = nullptr;
-  };
-  dfs(0);
-
-  std::vector<uint64_t> filter_keys;
-  for (size_t k = 0; k < keys.size(); ++k) {
-    if (matched[k]) filter_keys.push_back(keys[k]);
-  }
-  result.filter = PointSet::FromKeys(codec.layout(), std::move(filter_keys));
-  return result;
-}
-
-}  // namespace
 
 FilterJoinResult ComputeJoinFilterDelta(const query::AnalyzedQuery& q,
                                         const JoinAttrCodec& codec,
                                         const PointSet& collected,
                                         const PointSet& previous,
                                         const std::vector<uint64_t>& added) {
-  const std::vector<uint64_t>& keys = collected.keys();
-  const int num_tables = q.num_tables();
-  const auto rows = BuildIntervalRows(q, codec, keys);
-  const auto all = BuildEligibility(q, codec, keys);
-  const auto preds_at = BuildPredsAt(q);
-
-  std::vector<char> is_added(keys.size(), 0);
-  for (uint64_t key : added) {
-    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
-    SENSJOIN_CHECK(it != keys.end() && *it == key)
-        << "added key missing from the collected set";
-    is_added[static_cast<size_t>(it - keys.begin())] = 1;
-  }
-  std::vector<std::vector<size_t>> added_only(num_tables);
-  std::vector<std::vector<size_t>> old_only(num_tables);
-  for (int t = 0; t < num_tables; ++t) {
-    for (size_t k : all[t]) {
-      (is_added[k] ? added_only[t] : old_only[t]).push_back(k);
-    }
-  }
-
-  FilterJoinResult result(codec.EmptySet());
-  std::vector<char> matched(keys.size(), 0);
-  std::vector<const std::vector<query::Interval>*> assignment(num_tables,
-                                                              nullptr);
-  std::vector<size_t> assigned_key(num_tables, 0);
-  AssignmentContext ctx(&assignment);
-
-  // Enumerate exactly the combinations touching >= 1 added key, partitioned
-  // by the first added position (pivot): positions before the pivot draw
-  // from old keys only, the pivot from added keys, later positions from
-  // all keys. All-old combinations were settled by the previous epoch.
-  int pivot = 0;
-  std::function<void(int)> dfs = [&](int t) {
-    if (t == num_tables) {
-      ++result.combinations_matched;
-      for (int i = 0; i < num_tables; ++i) matched[assigned_key[i]] = 1;
-      return;
-    }
-    const std::vector<size_t>& pool =
-        t < pivot ? old_only[t] : (t == pivot ? added_only[t] : all[t]);
-    for (size_t k : pool) {
-      assignment[t] = &rows[k];
-      assigned_key[t] = k;
-      bool alive = true;
-      for (const query::Expr* p : preds_at[t]) {
-        ++result.combinations_evaluated;
-        if (query::EvalTri(*p, ctx) == query::Tri::kFalse) {
-          alive = false;
-          break;
-        }
-      }
-      if (alive) dfs(t + 1);
-    }
-    assignment[t] = nullptr;
-  };
-  for (pivot = 0; pivot < num_tables; ++pivot) dfs(0);
-
-  std::vector<uint64_t> filter_keys = previous.keys();
-  for (size_t k = 0; k < keys.size(); ++k) {
-    if (matched[k]) filter_keys.push_back(keys[k]);
-  }
-  result.filter = PointSet::FromKeys(codec.layout(), std::move(filter_keys));
+  // All-old combinations were settled by the previous epoch.
+  FilterJoinResult result =
+      RunFilterJoinPlan(FilterJoinPlan(q, codec), q, codec, collected, &added);
+  result.filter.UnionInPlace(previous);
   return result;
 }
 
 const FilterJoinResult& IncrementalJoinFilter::Update(
     const query::AnalyzedQuery& q, const JoinAttrCodec& codec,
     const PointSet& collected, const std::vector<uint64_t>& added,
-    const std::vector<uint64_t>& removed, FilterJoinStrategy strategy) {
+    const std::vector<uint64_t>& removed) {
   if (valid_) {
     const bool removal_safe =
         std::none_of(removed.begin(), removed.end(), [this](uint64_t key) {
@@ -262,7 +66,7 @@ const FilterJoinResult& IncrementalJoinFilter::Update(
     // only witness) or the delta dominates the set: recompute.
   }
   ++full_recomputes_;
-  last_ = ComputeJoinFilter(q, codec, collected, strategy);
+  last_ = ComputeJoinFilter(q, codec, collected);
   valid_ = true;
   return *last_;
 }

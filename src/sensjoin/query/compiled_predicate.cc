@@ -2,90 +2,111 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "sensjoin/common/logging.h"
-#include "sensjoin/query/expr_eval.h"
-#include "sensjoin/query/interval_eval.h"
 
 namespace sensjoin::query {
 namespace {
 
-/// Stack capacity of the evaluator. Deeper predicates (beyond ~30 nested
-/// operators) compile to a single tree-evaluator fallback op instead.
+/// Stack capacity the interpreter keeps on the machine stack. Deeper
+/// programs run the same loop on heap-allocated stacks.
 constexpr int kMaxStack = 32;
 
-/// Tracks the stack depth a program needs; compilation bails out to a full
-/// fallback when it would overflow the fixed evaluation stacks.
-int TreeDepth(const Expr& e) {
-  int worst = 0;
-  for (size_t i = 0; i < e.args.size(); ++i) {
-    // Postfix evaluation keeps i earlier operand results on the stack while
-    // computing operand i.
-    worst = std::max(worst, static_cast<int>(i) + TreeDepth(*e.args[i]));
+/// An evaluation stack: kMaxStack slots on the machine stack, or a heap
+/// buffer when the program is deeper.
+template <typename T>
+class Stack {
+ public:
+  explicit Stack(int depth) {
+    if (depth > kMaxStack) heap_ = std::make_unique<T[]>(depth);
   }
-  return worst + 1;
+  Stack(const Stack&) = delete;
+  Stack& operator=(const Stack&) = delete;
+
+  T* data() { return heap_ != nullptr ? heap_.get() : local_; }
+
+ private:
+  T local_[kMaxStack];
+  std::unique_ptr<T[]> heap_;
+};
+
+/// Numeric operator of a kBinary node in numeric position.
+bool IsArithmetic(BinaryOp op) {
+  return op == BinaryOp::kAdd || op == BinaryOp::kSub ||
+         op == BinaryOp::kMul || op == BinaryOp::kDiv;
 }
-
-/// IntervalContext over the raw per-table row pointers Eval receives, for
-/// the tree-evaluator fallback ops.
-class RawRowContext : public IntervalContext {
- public:
-  explicit RawRowContext(const Interval* const* rows) : rows_(rows) {}
-
-  Interval Value(int table_index, int attr_index) const override {
-    SENSJOIN_DCHECK(rows_[table_index] != nullptr);
-    return rows_[table_index][attr_index];
-  }
-
- private:
-  const Interval* const* rows_;
-};
-
-/// ScalarContext over the raw per-table value rows, for the scalar
-/// interpreter's fallback ops.
-class RawValueContext : public ScalarContext {
- public:
-  explicit RawValueContext(const double* const* rows) : rows_(rows) {}
-
-  double Value(int table_index, int attr_index) const override {
-    SENSJOIN_DCHECK(rows_[table_index] != nullptr);
-    return rows_[table_index][attr_index];
-  }
-
- private:
-  const double* const* rows_;
-};
 
 }  // namespace
 
 CompiledPredicate CompiledPredicate::Compile(const Expr& pred) {
   CompiledPredicate p;
-  if (TreeDepth(pred) > kMaxStack) {
-    Op op;
-    op.code = OpCode::kFallbackTri;
-    op.subtree = &pred;
-    p.ops_.push_back(op);
-    return p;
-  }
   p.CompileTri(pred);
-  p.DetectFastPattern();
+  p.Finish();
   return p;
 }
 
 CompiledPredicate CompiledPredicate::CompileValue(const Expr& expr) {
   CompiledPredicate p;
-  if (TreeDepth(expr) > kMaxStack) {
-    Op op;
-    op.code = OpCode::kFallbackNum;
-    op.subtree = &expr;
-    p.ops_.push_back(op);
-    return p;
-  }
   p.CompileNumeric(expr);
+  p.Finish();
   return p;
 }
 
-void CompiledPredicate::DetectFastPattern() {
+void CompiledPredicate::Finish() {
+  // Replay each op's stack effect to find the exact peak depths.
+  int nt = 0;
+  int tt = 0;
+  for (const Op& op : ops_) {
+    switch (op.code) {
+      case OpCode::kPushLit:
+      case OpCode::kPushAttr:
+      case OpCode::kSubAttrs:
+        ++nt;
+        break;
+      case OpCode::kAdd:
+      case OpCode::kSub:
+      case OpCode::kMul:
+      case OpCode::kDiv:
+      case OpCode::kMin:
+      case OpCode::kMax:
+        --nt;
+        break;
+      case OpCode::kNeg:
+      case OpCode::kAbs:
+      case OpCode::kSqrt:
+      case OpCode::kNot:
+        break;
+      case OpCode::kDistance:
+        nt -= 3;
+        break;
+      case OpCode::kCmpLt:
+      case OpCode::kCmpLe:
+      case OpCode::kCmpGt:
+      case OpCode::kCmpGe:
+      case OpCode::kCmpEq:
+      case OpCode::kCmpNe:
+        nt -= 2;
+        ++tt;
+        break;
+      case OpCode::kCmpLtLit:
+      case OpCode::kCmpLeLit:
+      case OpCode::kCmpGtLit:
+      case OpCode::kCmpGeLit:
+      case OpCode::kCmpEqLit:
+      case OpCode::kCmpNeLit:
+        --nt;
+        ++tt;
+        break;
+      case OpCode::kAnd:
+      case OpCode::kOr:
+        --tt;
+        break;
+    }
+    num_depth_ = std::max(num_depth_, nt);
+    truth_depth_ = std::max(truth_depth_, tt);
+  }
+
   const auto is_cmp_lit = [](OpCode c) {
     return c == OpCode::kCmpLtLit || c == OpCode::kCmpLeLit ||
            c == OpCode::kCmpGtLit || c == OpCode::kCmpGeLit ||
@@ -112,29 +133,25 @@ void CompiledPredicate::CompileNumeric(const Expr& e) {
       ops_.push_back(op);
       return;
     case ExprKind::kAttrRef:
+      SENSJOIN_CHECK(e.table_index >= 0 && e.attr_index >= 0)
+          << "unresolved attribute reference " << e.ToString();
       op.code = OpCode::kPushAttr;
       op.table = static_cast<int16_t>(e.table_index);
       op.attr = static_cast<int16_t>(e.attr_index);
       ops_.push_back(op);
       return;
     case ExprKind::kUnary:
-      if (e.unary_op == UnaryOp::kNeg) {
-        CompileNumeric(*e.args[0]);
-        op.code = OpCode::kNeg;
-        ops_.push_back(op);
-        return;
-      }
-      break;
-    case ExprKind::kBinary: {
-      OpCode code;
-      switch (e.binary_op) {
-        case BinaryOp::kAdd: code = OpCode::kAdd; break;
-        case BinaryOp::kSub: code = OpCode::kSub; break;
-        case BinaryOp::kMul: code = OpCode::kMul; break;
-        case BinaryOp::kDiv: code = OpCode::kDiv; break;
-        default: code = OpCode::kFallbackNum; break;
-      }
-      if (code == OpCode::kSub && e.args[0]->kind == ExprKind::kAttrRef &&
+      SENSJOIN_CHECK(e.unary_op == UnaryOp::kNeg)
+          << "predicate in numeric context:" << e.ToString();
+      CompileNumeric(*e.args[0]);
+      op.code = OpCode::kNeg;
+      ops_.push_back(op);
+      return;
+    case ExprKind::kBinary:
+      SENSJOIN_CHECK(IsArithmetic(e.binary_op))
+          << "boolean operator in numeric context:" << e.ToString();
+      if (e.binary_op == BinaryOp::kSub &&
+          e.args[0]->kind == ExprKind::kAttrRef &&
           e.args[1]->kind == ExprKind::kAttrRef) {
         op.code = OpCode::kSubAttrs;
         op.table = static_cast<int16_t>(e.args[0]->table_index);
@@ -144,150 +161,148 @@ void CompiledPredicate::CompileNumeric(const Expr& e) {
         ops_.push_back(op);
         return;
       }
-      if (code != OpCode::kFallbackNum) {
-        CompileNumeric(*e.args[0]);
-        CompileNumeric(*e.args[1]);
-        op.code = code;
-        ops_.push_back(op);
-        return;
+      CompileNumeric(*e.args[0]);
+      CompileNumeric(*e.args[1]);
+      switch (e.binary_op) {
+        case BinaryOp::kAdd: op.code = OpCode::kAdd; break;
+        case BinaryOp::kSub: op.code = OpCode::kSub; break;
+        case BinaryOp::kMul: op.code = OpCode::kMul; break;
+        default: op.code = OpCode::kDiv; break;
       }
-      break;
-    }
+      ops_.push_back(op);
+      return;
     case ExprKind::kFunc: {
-      OpCode code;
+      size_t arity = 1;
       if (e.func == "abs") {
-        code = OpCode::kAbs;
+        op.code = OpCode::kAbs;
       } else if (e.func == "sqrt") {
-        code = OpCode::kSqrt;
+        op.code = OpCode::kSqrt;
       } else if (e.func == "min") {
-        code = OpCode::kMin;
+        op.code = OpCode::kMin;
+        arity = 2;
       } else if (e.func == "max") {
-        code = OpCode::kMax;
+        op.code = OpCode::kMax;
+        arity = 2;
       } else if (e.func == "distance") {
-        code = OpCode::kDistance;
+        op.code = OpCode::kDistance;
+        arity = 4;
       } else {
-        break;
+        SENSJOIN_CHECK(false) << "unknown function" << e.func;
       }
+      SENSJOIN_CHECK_EQ(e.args.size(), arity) << e.ToString();
       for (const auto& a : e.args) CompileNumeric(*a);
-      op.code = code;
       ops_.push_back(op);
       return;
     }
   }
-  // Unsupported numeric shape: evaluate the subtree through the tree walker
-  // (which preserves its CHECK behavior on invalid trees).
-  op.code = OpCode::kFallbackNum;
-  op.subtree = &e;
-  ops_.push_back(op);
 }
 
 void CompiledPredicate::CompileTri(const Expr& e) {
   Op op;
-  switch (e.kind) {
-    case ExprKind::kUnary:
-      if (e.unary_op == UnaryOp::kNot) {
-        CompileTri(*e.args[0]);
-        op.code = OpCode::kNot;
-        ops_.push_back(op);
-        return;
-      }
+  if (e.kind == ExprKind::kUnary && e.unary_op == UnaryOp::kNot) {
+    CompileTri(*e.args[0]);
+    op.code = OpCode::kNot;
+    ops_.push_back(op);
+    return;
+  }
+  SENSJOIN_CHECK(e.kind == ExprKind::kBinary && !IsArithmetic(e.binary_op))
+      << "not a predicate:" << e.ToString();
+  if (e.binary_op == BinaryOp::kAnd || e.binary_op == BinaryOp::kOr) {
+    CompileTri(*e.args[0]);
+    CompileTri(*e.args[1]);
+    op.code = e.binary_op == BinaryOp::kAnd ? OpCode::kAnd : OpCode::kOr;
+    ops_.push_back(op);
+    return;
+  }
+  CompileNumeric(*e.args[0]);
+  // A literal right-hand side (the typical band threshold) fuses into the
+  // comparison.
+  const bool lit_rhs = e.args[1]->kind == ExprKind::kLiteral;
+  if (!lit_rhs) CompileNumeric(*e.args[1]);
+  switch (e.binary_op) {
+    case BinaryOp::kLt:
+      op.code = lit_rhs ? OpCode::kCmpLtLit : OpCode::kCmpLt;
       break;
-    case ExprKind::kBinary: {
-      switch (e.binary_op) {
-        case BinaryOp::kAnd:
-        case BinaryOp::kOr:
-          CompileTri(*e.args[0]);
-          CompileTri(*e.args[1]);
-          op.code =
-              e.binary_op == BinaryOp::kAnd ? OpCode::kAnd : OpCode::kOr;
-          ops_.push_back(op);
-          return;
-        case BinaryOp::kLt:
-        case BinaryOp::kLe:
-        case BinaryOp::kGt:
-        case BinaryOp::kGe:
-        case BinaryOp::kEq:
-        case BinaryOp::kNe: {
-          CompileNumeric(*e.args[0]);
-          // A literal right-hand side (the typical band threshold) fuses
-          // into the comparison.
-          const bool lit_rhs = e.args[1]->kind == ExprKind::kLiteral;
-          if (!lit_rhs) CompileNumeric(*e.args[1]);
-          switch (e.binary_op) {
-            case BinaryOp::kLt:
-              op.code = lit_rhs ? OpCode::kCmpLtLit : OpCode::kCmpLt;
-              break;
-            case BinaryOp::kLe:
-              op.code = lit_rhs ? OpCode::kCmpLeLit : OpCode::kCmpLe;
-              break;
-            case BinaryOp::kGt:
-              op.code = lit_rhs ? OpCode::kCmpGtLit : OpCode::kCmpGt;
-              break;
-            case BinaryOp::kGe:
-              op.code = lit_rhs ? OpCode::kCmpGeLit : OpCode::kCmpGe;
-              break;
-            case BinaryOp::kEq:
-              op.code = lit_rhs ? OpCode::kCmpEqLit : OpCode::kCmpEq;
-              break;
-            default:
-              op.code = lit_rhs ? OpCode::kCmpNeLit : OpCode::kCmpNe;
-              break;
-          }
-          if (lit_rhs) op.literal = e.args[1]->literal;
-          ops_.push_back(op);
-          return;
-        }
-        default:
-          break;
-      }
+    case BinaryOp::kLe:
+      op.code = lit_rhs ? OpCode::kCmpLeLit : OpCode::kCmpLe;
       break;
-    }
+    case BinaryOp::kGt:
+      op.code = lit_rhs ? OpCode::kCmpGtLit : OpCode::kCmpGt;
+      break;
+    case BinaryOp::kGe:
+      op.code = lit_rhs ? OpCode::kCmpGeLit : OpCode::kCmpGe;
+      break;
+    case BinaryOp::kEq:
+      op.code = lit_rhs ? OpCode::kCmpEqLit : OpCode::kCmpEq;
+      break;
     default:
+      op.code = lit_rhs ? OpCode::kCmpNeLit : OpCode::kCmpNe;
       break;
   }
-  op.code = OpCode::kFallbackTri;
-  op.subtree = &e;
+  if (lit_rhs) op.literal = e.args[1]->literal;
   ops_.push_back(op);
 }
 
 Tri CompiledPredicate::Eval(const Interval* const* rows) const {
-  // Specialized shapes: the same interval operations Eval's generic loop
-  // would run, without the dispatch.
-  if (fast_ == Fast::kAbsSubCmpLit) {
-    const Op& sub = ops_[0];
-    const Op& cmp = ops_[2];
-    const Interval v =
-        Abs(Sub(rows[sub.table][sub.attr], rows[sub.table2][sub.attr2]));
-    const Interval lit = Interval::Single(cmp.literal);
-    switch (cmp.code) {
-      case OpCode::kCmpLtLit: return Lt(v, lit);
-      case OpCode::kCmpLeLit: return Le(v, lit);
-      case OpCode::kCmpGtLit: return Gt(v, lit);
-      case OpCode::kCmpGeLit: return Ge(v, lit);
-      case OpCode::kCmpEqLit: return Eq(v, lit);
-      default: return Ne(v, lit);
+  Tri truth = Tri::kMaybe;
+  RunInterval(rows, nullptr, &truth);
+  return truth;
+}
+
+Interval CompiledPredicate::EvalValue(const Interval* const* rows) const {
+  Interval value;
+  RunInterval(rows, &value, nullptr);
+  return value;
+}
+
+bool CompiledPredicate::Eval(const double* const* rows) const {
+  bool truth = false;
+  RunScalar(rows, nullptr, &truth);
+  return truth;
+}
+
+double CompiledPredicate::EvalValue(const double* const* rows) const {
+  double value = 0.0;
+  RunScalar(rows, &value, nullptr);
+  return value;
+}
+
+void CompiledPredicate::RunInterval(const Interval* const* rows,
+                                    Interval* value, Tri* truth) const {
+  // Specialized shapes: the interval operations the generic loop would run,
+  // without the dispatch.
+  if (fast_ != Fast::kNone) {
+    SENSJOIN_DCHECK(truth != nullptr);
+    Interval v;
+    const Op* cmp;
+    if (fast_ == Fast::kAbsSubCmpLit) {
+      const Op& sub = ops_[0];
+      v = Abs(Sub(rows[sub.table][sub.attr], rows[sub.table2][sub.attr2]));
+      cmp = &ops_[2];
+    } else {
+      const Interval dx = Sub(rows[ops_[0].table][ops_[0].attr],
+                              rows[ops_[2].table][ops_[2].attr]);
+      const Interval dy = Sub(rows[ops_[1].table][ops_[1].attr],
+                              rows[ops_[3].table][ops_[3].attr]);
+      v = Sqrt(Add(Square(dx), Square(dy)));
+      cmp = &ops_[5];
     }
-  }
-  if (fast_ == Fast::kDistanceCmpLit) {
-    const Interval dx = Sub(rows[ops_[0].table][ops_[0].attr],
-                            rows[ops_[2].table][ops_[2].attr]);
-    const Interval dy = Sub(rows[ops_[1].table][ops_[1].attr],
-                            rows[ops_[3].table][ops_[3].attr]);
-    const Interval v = Sqrt(Add(Square(dx), Square(dy)));
-    const Op& cmp = ops_[5];
-    const Interval lit = Interval::Single(cmp.literal);
-    switch (cmp.code) {
-      case OpCode::kCmpLtLit: return Lt(v, lit);
-      case OpCode::kCmpLeLit: return Le(v, lit);
-      case OpCode::kCmpGtLit: return Gt(v, lit);
-      case OpCode::kCmpGeLit: return Ge(v, lit);
-      case OpCode::kCmpEqLit: return Eq(v, lit);
-      default: return Ne(v, lit);
+    const Interval lit = Interval::Single(cmp->literal);
+    switch (cmp->code) {
+      case OpCode::kCmpLtLit: *truth = Lt(v, lit); break;
+      case OpCode::kCmpLeLit: *truth = Le(v, lit); break;
+      case OpCode::kCmpGtLit: *truth = Gt(v, lit); break;
+      case OpCode::kCmpGeLit: *truth = Ge(v, lit); break;
+      case OpCode::kCmpEqLit: *truth = Eq(v, lit); break;
+      default: *truth = Ne(v, lit); break;
     }
+    return;
   }
 
-  Interval num[kMaxStack];
-  Tri tri[kMaxStack];
+  Stack<Interval> num_stack(num_depth_);
+  Stack<Tri> tri_stack(truth_depth_);
+  Interval* num = num_stack.data();
+  Tri* tri = tri_stack.data();
   int nt = 0;
   int tt = 0;
   for (const Op& op : ops_) {
@@ -401,40 +416,25 @@ Tri CompiledPredicate::Eval(const Interval* const* rows) const {
       case OpCode::kNot:
         tri[tt - 1] = Not(tri[tt - 1]);
         break;
-      case OpCode::kFallbackNum: {
-        const RawRowContext ctx(rows);
-        num[nt++] = EvalInterval(*op.subtree, ctx);
-        break;
-      }
-      case OpCode::kFallbackTri: {
-        const RawRowContext ctx(rows);
-        tri[tt++] = EvalTri(*op.subtree, ctx);
-        break;
-      }
     }
   }
-  SENSJOIN_DCHECK(tt == 1 && nt == 0);
-  return tri[0];
-}
-
-bool CompiledPredicate::Eval(const double* const* rows) const {
-  bool truth = false;
-  RunScalar(rows, nullptr, &truth);
-  return truth;
-}
-
-double CompiledPredicate::EvalValue(const double* const* rows) const {
-  double value = 0.0;
-  RunScalar(rows, &value, nullptr);
-  return value;
+  if (value != nullptr) {
+    SENSJOIN_DCHECK(nt == 1 && tt == 0);
+    *value = num[0];
+  } else {
+    SENSJOIN_DCHECK(tt == 1 && nt == 0);
+    *truth = tri[0];
+  }
 }
 
 void CompiledPredicate::RunScalar(const double* const* rows, double* value,
                                   bool* truth) const {
-  // Each op runs the double operation EvalScalar / EvalPredicate performs
-  // at the corresponding tree node, so results match them bit for bit.
-  double num[kMaxStack];
-  bool tri[kMaxStack];
+  // Each op runs the double operation a recursive walk performs at the
+  // corresponding tree node, in the same order.
+  Stack<double> num_stack(num_depth_);
+  Stack<bool> tri_stack(truth_depth_);
+  double* num = num_stack.data();
+  bool* tri = tri_stack.data();
   int nt = 0;
   int tt = 0;
   for (const Op& op : ops_) {
@@ -541,16 +541,6 @@ void CompiledPredicate::RunScalar(const double* const* rows, double* value,
       case OpCode::kNot:
         tri[tt - 1] = !tri[tt - 1];
         break;
-      case OpCode::kFallbackNum: {
-        const RawValueContext ctx(rows);
-        num[nt++] = EvalScalar(*op.subtree, ctx);
-        break;
-      }
-      case OpCode::kFallbackTri: {
-        const RawValueContext ctx(rows);
-        tri[tt++] = EvalPredicate(*op.subtree, ctx);
-        break;
-      }
     }
   }
   if (value != nullptr) {

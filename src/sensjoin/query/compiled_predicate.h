@@ -9,36 +9,39 @@
 
 namespace sensjoin::query {
 
-/// A predicate or numeric expression compiled to a flat postfix program with
-/// two interpreters over the same program: one over attribute intervals
-/// (the conservative filter join) and one over exact doubles (the exact
-/// join, selections, baselines). Evaluating through the Expr tree pays
-/// recursion, virtual context dispatch and a string compare per function
-/// node on the hottest paths of the base-station joins. The compiled form
-/// resolves all of that once and evaluates with the *same* operations in
-/// the same order as the tree walkers, so results are bit-identical:
+/// A predicate or numeric expression compiled to a flat postfix program,
+/// the library's only expression evaluator. Two interpreters run the same
+/// program: one over attribute intervals (the conservative filter join and
+/// its probe ranges) and one over exact doubles (the exact join,
+/// selections, baselines). Each op runs the interval operation of
+/// query/interval.h or the corresponding IEEE double operation, in the
+/// order a left-to-right recursive walk of the tree would:
 ///
-///   Eval(const Interval* const*)   == EvalTri(pred, RowIntervalContext)
-///   Eval(const double* const*)     == EvalPredicate(pred, TupleContext)
-///   EvalValue(const double* const*) == EvalScalar(expr, TupleContext)
+///   value:     a + b -> Add(a, b) | a + b;  min(a, b) -> Min | std::min;
+///              distance -> Sqrt(Add(Square(dx), Square(dy))) |
+///                          std::sqrt(dx * dx + dy * dy)
+///   predicate: a < b -> Lt(a, b) | a < b;  AND -> And(p, q) | p && q
 ///
-/// Holds borrowed pointers into the expression tree (fallback subtrees);
-/// must not outlive the AnalyzedQuery.
+/// The program owns everything it needs (no pointers into the tree), so it
+/// may outlive the expression it was compiled from.
 class CompiledPredicate {
  public:
-  /// Compiles a resolved, validated predicate. Shapes outside the opcode
-  /// set fall back to the tree evaluator for the offending subtree, so
-  /// compilation always succeeds and never changes semantics.
+  /// Compiles a resolved, validated predicate (ValidateExpr). Every
+  /// validated shape compiles; an invalid one is a CHECK failure.
   static CompiledPredicate Compile(const Expr& pred);
 
-  /// Compiles a resolved, validated numeric expression (a SELECT item or
-  /// aggregate input) for EvalValue.
+  /// Compiles a resolved, validated numeric expression (a SELECT item,
+  /// aggregate input or probe-range operand) for EvalValue.
   static CompiledPredicate CompileValue(const Expr& expr);
 
-  /// Evaluates over explicit per-table attribute-interval rows: rows[t]
+  /// Three-valued truth over per-table attribute-interval rows: rows[t]
   /// points at FROM entry t's row indexed by schema attribute (may be null
   /// for tables the predicate does not reference). Predicate programs only.
   Tri Eval(const Interval* const* rows) const;
+
+  /// Conservative value interval of a CompileValue program over per-table
+  /// attribute-interval rows.
+  Interval EvalValue(const Interval* const* rows) const;
 
   /// Exact truth over per-table value rows (rows[t] points at FROM entry
   /// t's tuple values; may be null for tables the predicate does not
@@ -78,9 +81,6 @@ class CompiledPredicate {
     kAnd,
     kOr,
     kNot,
-    kFallbackNum,  ///< EvalInterval / EvalScalar(subtree) onto the number
-                   ///< stack
-    kFallbackTri,  ///< EvalTri / EvalPredicate(subtree) onto the truth stack
   };
 
   struct Op {
@@ -90,19 +90,20 @@ class CompiledPredicate {
     int16_t table2 = 0;  ///< kSubAttrs (subtrahend)
     int16_t attr2 = 0;   ///< kSubAttrs (subtrahend)
     double literal = 0.0;
-    const Expr* subtree = nullptr;  ///< borrowed; fallback ops only
   };
 
   void CompileNumeric(const Expr& e);
   void CompileTri(const Expr& e);
-  void DetectFastPattern();
+  void Finish();
 
-  /// The scalar interpreter: leaves a value program's result in `*value`
+  /// The interpreters: each leaves a value program's result in `*value`
   /// or a predicate program's in `*truth` (exactly one is non-null).
+  void RunInterval(const Interval* const* rows, Interval* value,
+                   Tri* truth) const;
   void RunScalar(const double* const* rows, double* value, bool* truth) const;
 
   /// Whole-program specializations of the two shapes that dominate the
-  /// indexed join's candidate re-evaluation; they run the identical interval
+  /// filter join's candidate re-evaluation; they run the identical interval
   /// operations without the op-dispatch loop.
   enum class Fast : uint8_t {
     kNone,
@@ -111,6 +112,10 @@ class CompiledPredicate {
   };
 
   std::vector<Op> ops_;
+  /// Exact peak depths of the number and truth stacks, replayed from the
+  /// ops' push/pop effects at compile time.
+  int num_depth_ = 0;
+  int truth_depth_ = 0;
   Fast fast_ = Fast::kNone;
 };
 

@@ -80,12 +80,12 @@ class ConstraintExtractor {
     const Expr& side = l ? lhs : rhs;
     const Expr& other = l ? rhs : lhs;
 
-    // Initial target from the comparison. EvalTri declares Lt/Le false only
+    // Initial target from the comparison. Lt/Le are false over intervals only
     // when side.lo >= / > other.hi, so a non-false outcome guarantees the
     // side's interval reaches below other.hi (symmetrically above other.lo
     // for Gt/Ge); Eq is non-false exactly when the intervals intersect.
     ProbeConstraint c;
-    c.init_other_ = &other;
+    c.init_other_ = CompiledPredicate::CompileValue(other);
     switch (pred.binary_op) {
       case BinaryOp::kLt:
       case BinaryOp::kLe:
@@ -118,18 +118,11 @@ class ConstraintExtractor {
       case ExprKind::kAttrRef:
         SENSJOIN_DCHECK(e.table_index == probe_);
         c.attr_index_ = e.attr_index;
-        c.init_program_ = CompiledPredicate::CompileValue(*c.init_other_);
-        for (const Step& step : c.steps_) {
-          c.step_programs_.push_back(
-              step.other != nullptr
-                  ? CompiledPredicate::CompileValue(*step.other)
-                  : CompiledPredicate());
-        }
         out_->push_back(std::move(c));
         return;
       case ExprKind::kUnary:
         if (e.unary_op != UnaryOp::kNeg) return;
-        c.steps_.push_back({StepKind::kNeg, nullptr});
+        c.steps_.push_back({StepKind::kNeg, {}});
         Invert(*e.args[0], std::move(c));
         return;
       case ExprKind::kBinary: {
@@ -140,25 +133,30 @@ class ConstraintExtractor {
         if (pu == pv) return;  // probe on both operands: not solvable
         switch (e.binary_op) {
           case BinaryOp::kAdd:
-            c.steps_.push_back({StepKind::kSubOther, pu ? &v : &u});
+            c.steps_.push_back({StepKind::kSubOther,
+                                CompiledPredicate::CompileValue(pu ? v : u)});
             Invert(pu ? u : v, std::move(c));
             return;
           case BinaryOp::kSub:
             if (pu) {
-              c.steps_.push_back({StepKind::kAddOther, &v});
+              c.steps_.push_back(
+                  {StepKind::kAddOther, CompiledPredicate::CompileValue(v)});
               Invert(u, std::move(c));
             } else {
-              c.steps_.push_back({StepKind::kSubFromOther, &u});
+              c.steps_.push_back({StepKind::kSubFromOther,
+                                  CompiledPredicate::CompileValue(u)});
               Invert(v, std::move(c));
             }
             return;
           case BinaryOp::kMul:
-            c.steps_.push_back({StepKind::kDivOther, pu ? &v : &u});
+            c.steps_.push_back({StepKind::kDivOther,
+                                CompiledPredicate::CompileValue(pu ? v : u)});
             Invert(pu ? u : v, std::move(c));
             return;
           case BinaryOp::kDiv:
             if (!pu) return;  // probe in the divisor: u/x is not monotone
-            c.steps_.push_back({StepKind::kMulOther, &v});
+            c.steps_.push_back(
+                {StepKind::kMulOther, CompiledPredicate::CompileValue(v)});
             Invert(u, std::move(c));
             return;
           default:
@@ -167,12 +165,12 @@ class ConstraintExtractor {
       }
       case ExprKind::kFunc:
         if (e.func == "abs") {
-          c.steps_.push_back({StepKind::kSymHull, nullptr});
+          c.steps_.push_back({StepKind::kSymHull, {}});
           Invert(*e.args[0], std::move(c));
           return;
         }
         if (e.func == "sqrt") {
-          c.steps_.push_back({StepKind::kSqrtInv, nullptr});
+          c.steps_.push_back({StepKind::kSqrtInv, {}});
           Invert(*e.args[0], std::move(c));
           return;
         }
@@ -198,12 +196,14 @@ class ConstraintExtractor {
     const bool pu = RefsTable(u, probe_);
     const bool pv = RefsTable(v, probe_);
     if (pu == pv) return;
-    c.steps_.push_back({StepKind::kSymHull, nullptr});
+    c.steps_.push_back({StepKind::kSymHull, {}});
     if (pu) {
-      c.steps_.push_back({StepKind::kAddOther, &v});
+      c.steps_.push_back(
+          {StepKind::kAddOther, CompiledPredicate::CompileValue(v)});
       Invert(u, std::move(c));
     } else {
-      c.steps_.push_back({StepKind::kSubFromOther, &u});
+      c.steps_.push_back(
+          {StepKind::kSubFromOther, CompiledPredicate::CompileValue(u)});
       Invert(v, std::move(c));
     }
   }
@@ -220,17 +220,17 @@ std::vector<ProbeConstraint> ProbeConstraint::Extract(const Expr& pred,
   return out;
 }
 
-Interval ProbeConstraint::AllowedRange(const IntervalContext& ctx) const {
+Interval ProbeConstraint::AllowedRange(const Interval* const* rows) const {
   return Range(
-      [&](const Expr& e, const CompiledPredicate&) {
-        return EvalInterval(e, ctx);
+      [&](const CompiledPredicate& program) {
+        return program.EvalValue(rows);
       },
       /*scalar_slack=*/false);
 }
 
 Interval ProbeConstraint::ScalarRange(const double* const* rows) const {
   return Range(
-      [&](const Expr&, const CompiledPredicate& program) {
+      [&](const CompiledPredicate& program) {
         return Interval::Single(program.EvalValue(rows));
       },
       /*scalar_slack=*/true);
@@ -239,19 +239,15 @@ Interval ProbeConstraint::ScalarRange(const double* const* rows) const {
 template <typename Operand>
 Interval ProbeConstraint::Range(const Operand& operand,
                                 bool scalar_slack) const {
-  SENSJOIN_DCHECK(init_other_ != nullptr);
-  const Interval other = operand(*init_other_, init_program_);
+  const Interval other = operand(init_other_);
   Interval t;
   switch (init_) {
     case Init::kUpperFromHi: t = {-kInf, other.hi}; break;
     case Init::kLowerFromLo: t = {other.lo, kInf}; break;
     case Init::kRange: t = other; break;
   }
-  for (size_t i = 0; i < steps_.size(); ++i) {
-    const Step& step = steps_[i];
-    const auto step_operand = [&] {
-      return operand(*step.other, step_programs_[i]);
-    };
+  for (const Step& step : steps_) {
+    const auto step_operand = [&] { return operand(step.other); };
     if (std::isnan(t.lo) || std::isnan(t.hi)) return kFullRange;
     // The comparison itself is exact; every node below it rounds.
     if (scalar_slack) t = ScalarSlack(t);

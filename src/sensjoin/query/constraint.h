@@ -7,7 +7,6 @@
 #include "sensjoin/query/ast.h"
 #include "sensjoin/query/compiled_predicate.h"
 #include "sensjoin/query/interval.h"
-#include "sensjoin/query/interval_eval.h"
 
 namespace sensjoin::query {
 
@@ -18,49 +17,48 @@ namespace sensjoin::query {
 /// nesting level to a contiguous range of a sorted per-dimension index.
 ///
 /// Soundness contract (what makes index pruning bit-exact): for any interval
-/// assignment of the *other* tables supplied via `ctx`,
+/// rows of the *other* tables,
 ///
-///   EvalTri(pred, ctx') != kFalse  implies
-///   ctx'.Value(probe_table, attr_index()) intersects AllowedRange(ctx)
+///   CompiledPredicate::Compile(pred).Eval(rows') != kFalse  implies
+///   rows'[probe_table][attr_index()] intersects AllowedRange(rows)
 ///
-/// where ctx' extends ctx with any interval for the probe attribute. The
-/// implication is with respect to EvalTri's actual (outward-conservative)
-/// interval arithmetic, not ideal real semantics, so a key skipped by the
-/// range is guaranteed to be one the naive nested-loop join would have
-/// rejected at this predicate. The range may be wider than necessary; the
-/// caller re-evaluates the predicate on every surviving candidate.
-///
-/// Holds borrowed pointers into the predicate tree; the constraint must not
-/// outlive the AnalyzedQuery it came from.
+/// where rows' extends rows with any interval row for the probe table. The
+/// implication is with respect to the compiled interval program's actual
+/// (round-to-nearest) interval arithmetic, not ideal real semantics, so a
+/// key skipped by the range is guaranteed to be one the predicate rejects.
+/// The range may be wider than necessary; the caller re-evaluates the
+/// predicate on every surviving candidate.
 class ProbeConstraint {
  public:
   /// Schema attribute index (of the probe table) that the range bounds.
   int attr_index() const { return attr_index_; }
 
   /// The conservative allowed interval for the probe attribute, given the
-  /// other referenced tables' intervals. Every expression referenced by the
-  /// compiled steps must be evaluable under `ctx` (i.e. all non-probe tables
-  /// assigned). Returns [-inf, +inf] when the bound degenerates at runtime
-  /// (e.g. a multiplier interval straddling zero, or non-finite operands in
-  /// a product); returns an inverted interval (lo > hi) when the predicate
-  /// is certainly false for every probe value.
-  Interval AllowedRange(const IntervalContext& ctx) const;
+  /// other referenced tables' interval rows (rows[t] points at FROM entry
+  /// t's row indexed by schema attribute; every non-probe table the
+  /// predicate references must be set, the probe table's entry is not
+  /// read). The non-probe operands run as compiled interval programs.
+  /// Returns [-inf, +inf] when the bound degenerates at runtime (e.g. a
+  /// multiplier interval straddling zero, or non-finite operands in a
+  /// product); returns an inverted interval (lo > hi) when the predicate is
+  /// certainly false for every probe value.
+  Interval AllowedRange(const Interval* const* rows) const;
 
-  /// The exact join's counterpart of AllowedRange. `rows` holds the other
-  /// tables' exact values (rows[t] points at FROM entry t's tuple values;
-  /// the probe table's entry is not read), and the returned range contains
-  /// every probe value for which the source comparison, evaluated in
-  /// round-to-nearest doubles (EvalPredicate or the compiled scalar
-  /// program), can hold. The non-probe operands are evaluated by their
-  /// compiled scalar programs, so they carry the very values the scalar
-  /// comparison sees; the interval evaluator differs from it on NaN (e.g.
-  /// max(x, sqrt(-1)) is x in doubles, max(x, 0) over intervals) and
-  /// divides by multiplying with a reciprocal. Inverting in round-to-nearest
-  /// can still miss a boundary value by a few ulps, so the target is widened
-  /// before and after every inversion step by ScalarSlack, which bounds both
-  /// the forward evaluation's rounding at that node and the inverse step's
-  /// own rounding. A probe value outside the range makes the comparison
-  /// false, and so does a NaN probe value.
+  /// The exact join's counterpart of AllowedRange: the same inversion over
+  /// the other tables' exact values (rows[t] points at FROM entry t's tuple
+  /// values; the probe table's entry is not read). The returned range
+  /// contains every probe value for which the source comparison, evaluated
+  /// by the compiled scalar program in round-to-nearest doubles, can hold.
+  /// The non-probe operands run as compiled scalar programs, so they carry
+  /// the very values the scalar comparison sees; interval arithmetic
+  /// differs from doubles on NaN (e.g. max(x, sqrt(-1)) is x in doubles,
+  /// max(x, 0) over intervals) and divides by multiplying with a
+  /// reciprocal. Inverting in round-to-nearest can still miss a boundary
+  /// value by a few ulps, so the target is widened before and after every
+  /// inversion step by ScalarSlack, which bounds both the forward
+  /// evaluation's rounding at that node and the inverse step's own
+  /// rounding. A probe value outside the range makes the comparison false,
+  /// and so does a NaN probe value.
   Interval ScalarRange(const double* const* rows) const;
 
   /// Extracts the probe constraints on attributes of FROM entry
@@ -84,7 +82,8 @@ class ProbeConstraint {
 
   /// One inversion step, applied while walking from the comparison root down
   /// to the probe attribute reference. `other` is the sibling subexpression
-  /// (null for the unary steps), evaluated under the probe-time context.
+  /// (an empty program for the unary steps), evaluated on the probe-time
+  /// rows.
   enum class StepKind : uint8_t {
     kSubOther,      ///< through Add:      target -= Eval(other)
     kAddOther,      ///< through Sub lhs:  target += Eval(other)
@@ -98,23 +97,19 @@ class ProbeConstraint {
 
   struct Step {
     StepKind kind;
-    const Expr* other;  ///< borrowed; null for kNeg/kSymHull/kSqrtInv
+    CompiledPredicate other;  ///< empty for kNeg/kSymHull/kSqrtInv
   };
 
   friend class ConstraintExtractor;
 
-  /// The inversion shared by AllowedRange and ScalarRange; `operand(e, p)`
-  /// evaluates the non-probe operand `e` (compiled as `p`) to an interval.
+  /// The inversion shared by AllowedRange and ScalarRange;
+  /// `operand(program)` evaluates a non-probe operand to an interval.
   template <typename Operand>
   Interval Range(const Operand& operand, bool scalar_slack) const;
 
   Init init_ = Init::kRange;
-  const Expr* init_other_ = nullptr;  ///< borrowed comparison operand
+  CompiledPredicate init_other_;  ///< the opposite comparison operand
   std::vector<Step> steps_;
-  /// Scalar programs of init_other_ and of each step's `other` (an empty
-  /// program where a step has none), for ScalarRange.
-  CompiledPredicate init_program_;
-  std::vector<CompiledPredicate> step_programs_;
   int attr_index_ = -1;
 };
 

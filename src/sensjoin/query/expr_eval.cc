@@ -1,7 +1,5 @@
 #include "sensjoin/query/expr_eval.h"
 
-#include <algorithm>
-#include <cmath>
 #include <string>
 
 #include "sensjoin/common/logging.h"
@@ -18,16 +16,6 @@ int FunctionArity(const std::string& name) {
 }
 
 }  // namespace
-
-double TupleContext::Value(int table_index, int attr_index) const {
-  SENSJOIN_DCHECK(table_index >= 0 &&
-                  table_index < static_cast<int>(tuples_.size()));
-  const data::Tuple* t = tuples_[table_index];
-  SENSJOIN_DCHECK(t != nullptr);
-  SENSJOIN_DCHECK(attr_index >= 0 &&
-                  attr_index < static_cast<int>(t->values.size()));
-  return t->values[attr_index];
-}
 
 bool IsBooleanExpr(const Expr& expr) {
   switch (expr.kind) {
@@ -86,97 +74,6 @@ Status ValidateExpr(const Expr& expr, bool expect_boolean) {
     }
   }
   return Status::Internal("unreachable expression kind");
-}
-
-double EvalScalar(const Expr& expr, const ScalarContext& ctx) {
-  switch (expr.kind) {
-    case ExprKind::kLiteral:
-      return expr.literal;
-    case ExprKind::kAttrRef:
-      return ctx.Value(expr.table_index, expr.attr_index);
-    case ExprKind::kUnary:
-      SENSJOIN_DCHECK(expr.unary_op == UnaryOp::kNeg);
-      return -EvalScalar(*expr.args[0], ctx);
-    case ExprKind::kBinary: {
-      const double lhs = EvalScalar(*expr.args[0], ctx);
-      const double rhs = EvalScalar(*expr.args[1], ctx);
-      switch (expr.binary_op) {
-        case BinaryOp::kAdd: return lhs + rhs;
-        case BinaryOp::kSub: return lhs - rhs;
-        case BinaryOp::kMul: return lhs * rhs;
-        case BinaryOp::kDiv: return lhs / rhs;
-        default:
-          SENSJOIN_CHECK(false) << "boolean operator in numeric context:"
-                                << expr.ToString();
-      }
-      return 0.0;
-    }
-    case ExprKind::kFunc: {
-      if (expr.func == "abs") return std::abs(EvalScalar(*expr.args[0], ctx));
-      if (expr.func == "sqrt") {
-        return std::sqrt(EvalScalar(*expr.args[0], ctx));
-      }
-      if (expr.func == "min") {
-        return std::min(EvalScalar(*expr.args[0], ctx),
-                        EvalScalar(*expr.args[1], ctx));
-      }
-      if (expr.func == "max") {
-        return std::max(EvalScalar(*expr.args[0], ctx),
-                        EvalScalar(*expr.args[1], ctx));
-      }
-      if (expr.func == "distance") {
-        const double dx =
-            EvalScalar(*expr.args[0], ctx) - EvalScalar(*expr.args[2], ctx);
-        const double dy =
-            EvalScalar(*expr.args[1], ctx) - EvalScalar(*expr.args[3], ctx);
-        return std::sqrt(dx * dx + dy * dy);
-      }
-      SENSJOIN_CHECK(false) << "unknown function" << expr.func;
-      return 0.0;
-    }
-  }
-  SENSJOIN_CHECK(false) << "unreachable";
-  return 0.0;
-}
-
-bool EvalPredicate(const Expr& expr, const ScalarContext& ctx) {
-  switch (expr.kind) {
-    case ExprKind::kUnary:
-      SENSJOIN_DCHECK(expr.unary_op == UnaryOp::kNot);
-      return !EvalPredicate(*expr.args[0], ctx);
-    case ExprKind::kBinary:
-      switch (expr.binary_op) {
-        case BinaryOp::kAnd:
-          return EvalPredicate(*expr.args[0], ctx) &&
-                 EvalPredicate(*expr.args[1], ctx);
-        case BinaryOp::kOr:
-          return EvalPredicate(*expr.args[0], ctx) ||
-                 EvalPredicate(*expr.args[1], ctx);
-        case BinaryOp::kLt:
-          return EvalScalar(*expr.args[0], ctx) < EvalScalar(*expr.args[1], ctx);
-        case BinaryOp::kLe:
-          return EvalScalar(*expr.args[0], ctx) <=
-                 EvalScalar(*expr.args[1], ctx);
-        case BinaryOp::kGt:
-          return EvalScalar(*expr.args[0], ctx) > EvalScalar(*expr.args[1], ctx);
-        case BinaryOp::kGe:
-          return EvalScalar(*expr.args[0], ctx) >=
-                 EvalScalar(*expr.args[1], ctx);
-        case BinaryOp::kEq:
-          return EvalScalar(*expr.args[0], ctx) ==
-                 EvalScalar(*expr.args[1], ctx);
-        case BinaryOp::kNe:
-          return EvalScalar(*expr.args[0], ctx) !=
-                 EvalScalar(*expr.args[1], ctx);
-        default:
-          break;
-      }
-      break;
-    default:
-      break;
-  }
-  SENSJOIN_CHECK(false) << "not a predicate:" << expr.ToString();
-  return false;
 }
 
 }  // namespace sensjoin::query

@@ -1,34 +1,10 @@
 #ifndef SENSJOIN_QUERY_EXPR_EVAL_H_
 #define SENSJOIN_QUERY_EXPR_EVAL_H_
 
-#include <vector>
-
 #include "sensjoin/common/status.h"
-#include "sensjoin/data/tuple.h"
 #include "sensjoin/query/ast.h"
 
 namespace sensjoin::query {
-
-/// Supplies attribute values during evaluation: one value per
-/// (table_index, attr_index) pair resolved by Analyze().
-class ScalarContext {
- public:
-  virtual ~ScalarContext() = default;
-  virtual double Value(int table_index, int attr_index) const = 0;
-};
-
-/// A ScalarContext over one tuple per FROM-list entry (borrowed pointers;
-/// must outlive the context).
-class TupleContext : public ScalarContext {
- public:
-  explicit TupleContext(std::vector<const data::Tuple*> tuples)
-      : tuples_(std::move(tuples)) {}
-
-  double Value(int table_index, int attr_index) const override;
-
- private:
-  std::vector<const data::Tuple*> tuples_;
-};
 
 /// True if `expr` produces a truth value (comparison / logical operator)
 /// rather than a number.
@@ -37,14 +13,9 @@ bool IsBooleanExpr(const Expr& expr);
 /// Structural validation: known functions with correct arity, numeric
 /// operands where numbers are expected, resolved attribute references.
 /// `expect_boolean` states whether the root must be a predicate.
-/// Run once at analysis time so evaluation can use bare CHECKs.
+/// Run once at analysis time, so every analysed predicate and SELECT
+/// expression compiles (CompiledPredicate).
 Status ValidateExpr(const Expr& expr, bool expect_boolean);
-
-/// Evaluates a numeric expression. Requires a validated, resolved tree.
-double EvalScalar(const Expr& expr, const ScalarContext& ctx);
-
-/// Evaluates a predicate. Requires a validated, resolved boolean tree.
-bool EvalPredicate(const Expr& expr, const ScalarContext& ctx);
 
 }  // namespace sensjoin::query
 

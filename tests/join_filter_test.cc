@@ -8,7 +8,6 @@
 #include "sensjoin/common/rng.h"
 #include "sensjoin/data/schema.h"
 #include "sensjoin/join/join_attr_codec.h"
-#include "sensjoin/query/expr_eval.h"
 #include "sensjoin/query/query.h"
 
 namespace sensjoin::join {
