@@ -277,7 +277,9 @@ FilterJoinResult RunFilterJoinPlan(const FilterJoinPlan& plan,
       self(self, li + 1);
     };
 
-    if (level.probes.empty()) {
+    // The pivot's added keys are few: probing them would cost more than
+    // evaluating them.
+    if (level.probes.empty() || pool == Pool::kAdded) {
       for (uint32_t k : pool_keys) try_key(k);
       assignment[t] = nullptr;
       return;
@@ -313,16 +315,6 @@ FilterJoinResult RunFilterJoinPlan(const FilterJoinPlan& plan,
       assignment[t] = nullptr;
       return;
     }
-    // True iff key k lies inside every window but `skip`.
-    const auto inside = [&](uint32_t k, size_t skip) {
-      for (size_t w = 0; w < wins.size(); ++w) {
-        if (w == skip) continue;
-        const uint32_t c = coords[k * num_dims + wins[w].dim];
-        if (c < wins[w].lo || c > wins[w].hi) return false;
-      }
-      return true;
-    };
-
     // Probe the narrowest window's index; the other windows filter by a
     // plain coordinate compare.
     size_t best = 0;
@@ -344,18 +336,19 @@ FilterJoinResult RunFilterJoinPlan(const FilterJoinPlan& plan,
         best_end = best_begin + count;
       }
     }
-    if (pool_keys.size() < best_count) {
-      // A delta pool smaller than the window: scan the pool instead.
-      for (uint32_t k : pool_keys) {
-        if (inside(k, wins.size())) try_key(k);
+    for (const uint32_t* p = best_begin; p != best_end; ++p) {
+      const uint32_t k = *p;
+      if (pool == Pool::kOld && is_added[k]) continue;
+      bool inside = true;
+      for (size_t w = 0; w < wins.size(); ++w) {
+        if (w == best) continue;
+        const uint32_t c = coords[k * num_dims + wins[w].dim];
+        if (c < wins[w].lo || c > wins[w].hi) {
+          inside = false;
+          break;
+        }
       }
-    } else {
-      for (const uint32_t* p = best_begin; p != best_end; ++p) {
-        const uint32_t k = *p;
-        const bool in_pool = pool == Pool::kAll ||
-                             (is_added[k] != 0) == (pool == Pool::kAdded);
-        if (in_pool && inside(k, best)) try_key(k);
-      }
+      if (inside) try_key(k);
     }
     assignment[t] = nullptr;
   };

@@ -67,8 +67,9 @@ class FilterJoinPlan {
 /// With `added` null, every combination of eligible keys is enumerated.
 /// Otherwise (`added` ⊆ collected) exactly the combinations touching at
 /// least one added key are, each once: for every pivot level p, the levels
-/// before p draw from the other keys only, level p from the added keys, and
-/// the levels after p from all keys.
+/// before p draw from the other keys only, level p from the added keys
+/// (evaluated without probing: they are few), and the levels after p from
+/// all keys.
 FilterJoinResult RunFilterJoinPlan(const FilterJoinPlan& plan,
                                    const query::AnalyzedQuery& q,
                                    const JoinAttrCodec& codec,

@@ -9,27 +9,9 @@
 namespace sensjoin::query {
 namespace {
 
-/// Stack capacity the interpreter keeps on the machine stack. Deeper
-/// programs run the same loop on heap-allocated stacks.
+/// Stack capacity the interpreters keep on the machine stack. Deeper
+/// programs run the same loops on heap-allocated stacks.
 constexpr int kMaxStack = 32;
-
-/// An evaluation stack: kMaxStack slots on the machine stack, or a heap
-/// buffer when the program is deeper.
-template <typename T>
-class Stack {
- public:
-  explicit Stack(int depth) {
-    if (depth > kMaxStack) heap_ = std::make_unique<T[]>(depth);
-  }
-  Stack(const Stack&) = delete;
-  Stack& operator=(const Stack&) = delete;
-
-  T* data() { return heap_ != nullptr ? heap_.get() : local_; }
-
- private:
-  T local_[kMaxStack];
-  std::unique_ptr<T[]> heap_;
-};
 
 /// Numeric operator of a kBinary node in numeric position.
 bool IsArithmetic(BinaryOp op) {
@@ -267,42 +249,11 @@ double CompiledPredicate::EvalValue(const double* const* rows) const {
   return value;
 }
 
-void CompiledPredicate::RunInterval(const Interval* const* rows,
-                                    Interval* value, Tri* truth) const {
-  // Specialized shapes: the interval operations the generic loop would run,
-  // without the dispatch.
-  if (fast_ != Fast::kNone) {
-    SENSJOIN_DCHECK(truth != nullptr);
-    Interval v;
-    const Op* cmp;
-    if (fast_ == Fast::kAbsSubCmpLit) {
-      const Op& sub = ops_[0];
-      v = Abs(Sub(rows[sub.table][sub.attr], rows[sub.table2][sub.attr2]));
-      cmp = &ops_[2];
-    } else {
-      const Interval dx = Sub(rows[ops_[0].table][ops_[0].attr],
-                              rows[ops_[2].table][ops_[2].attr]);
-      const Interval dy = Sub(rows[ops_[1].table][ops_[1].attr],
-                              rows[ops_[3].table][ops_[3].attr]);
-      v = Sqrt(Add(Square(dx), Square(dy)));
-      cmp = &ops_[5];
-    }
-    const Interval lit = Interval::Single(cmp->literal);
-    switch (cmp->code) {
-      case OpCode::kCmpLtLit: *truth = Lt(v, lit); break;
-      case OpCode::kCmpLeLit: *truth = Le(v, lit); break;
-      case OpCode::kCmpGtLit: *truth = Gt(v, lit); break;
-      case OpCode::kCmpGeLit: *truth = Ge(v, lit); break;
-      case OpCode::kCmpEqLit: *truth = Eq(v, lit); break;
-      default: *truth = Ne(v, lit); break;
-    }
-    return;
-  }
-
-  Stack<Interval> num_stack(num_depth_);
-  Stack<Tri> tri_stack(truth_depth_);
-  Interval* num = num_stack.data();
-  Tri* tri = tri_stack.data();
+// The loops are inlined into their one caller, so the common case runs on
+// local arrays whose addresses the optimizer can see.
+[[gnu::always_inline]] inline void CompiledPredicate::IntervalLoop(
+    const Interval* const* rows, Interval* num, Tri* tri, Interval* value,
+    Tri* truth) const {
   int nt = 0;
   int tt = 0;
   for (const Op& op : ops_) {
@@ -427,14 +378,11 @@ void CompiledPredicate::RunInterval(const Interval* const* rows,
   }
 }
 
-void CompiledPredicate::RunScalar(const double* const* rows, double* value,
-                                  bool* truth) const {
+[[gnu::always_inline]] inline void CompiledPredicate::ScalarLoop(
+    const double* const* rows, double* num, bool* tri, double* value,
+    bool* truth) const {
   // Each op runs the double operation a recursive walk performs at the
   // corresponding tree node, in the same order.
-  Stack<double> num_stack(num_depth_);
-  Stack<bool> tri_stack(truth_depth_);
-  double* num = num_stack.data();
-  bool* tri = tri_stack.data();
   int nt = 0;
   int tt = 0;
   for (const Op& op : ops_) {
@@ -549,6 +497,62 @@ void CompiledPredicate::RunScalar(const double* const* rows, double* value,
   } else {
     SENSJOIN_DCHECK(tt == 1 && nt == 0);
     *truth = tri[0];
+  }
+}
+
+void CompiledPredicate::RunInterval(const Interval* const* rows,
+                                    Interval* value, Tri* truth) const {
+  // Specialized shapes: the interval operations the generic loop would run,
+  // without the dispatch.
+  if (fast_ != Fast::kNone) {
+    SENSJOIN_DCHECK(truth != nullptr);
+    Interval v;
+    const Op* cmp;
+    if (fast_ == Fast::kAbsSubCmpLit) {
+      const Op& sub = ops_[0];
+      v = Abs(Sub(rows[sub.table][sub.attr], rows[sub.table2][sub.attr2]));
+      cmp = &ops_[2];
+    } else {
+      const Interval dx = Sub(rows[ops_[0].table][ops_[0].attr],
+                              rows[ops_[2].table][ops_[2].attr]);
+      const Interval dy = Sub(rows[ops_[1].table][ops_[1].attr],
+                              rows[ops_[3].table][ops_[3].attr]);
+      v = Sqrt(Add(Square(dx), Square(dy)));
+      cmp = &ops_[5];
+    }
+    const Interval lit = Interval::Single(cmp->literal);
+    switch (cmp->code) {
+      case OpCode::kCmpLtLit: *truth = Lt(v, lit); break;
+      case OpCode::kCmpLeLit: *truth = Le(v, lit); break;
+      case OpCode::kCmpGtLit: *truth = Gt(v, lit); break;
+      case OpCode::kCmpGeLit: *truth = Ge(v, lit); break;
+      case OpCode::kCmpEqLit: *truth = Eq(v, lit); break;
+      default: *truth = Ne(v, lit); break;
+    }
+    return;
+  }
+
+  if (num_depth_ <= kMaxStack && truth_depth_ <= kMaxStack) {
+    Interval num[kMaxStack];
+    Tri tri[kMaxStack];
+    IntervalLoop(rows, num, tri, value, truth);
+  } else {
+    const auto num = std::make_unique<Interval[]>(num_depth_);
+    const auto tri = std::make_unique<Tri[]>(truth_depth_);
+    IntervalLoop(rows, num.get(), tri.get(), value, truth);
+  }
+}
+
+void CompiledPredicate::RunScalar(const double* const* rows, double* value,
+                                  bool* truth) const {
+  if (num_depth_ <= kMaxStack && truth_depth_ <= kMaxStack) {
+    double num[kMaxStack];
+    bool tri[kMaxStack];
+    ScalarLoop(rows, num, tri, value, truth);
+  } else {
+    const auto num = std::make_unique<double[]>(num_depth_);
+    const auto tri = std::make_unique<bool[]>(truth_depth_);
+    ScalarLoop(rows, num.get(), tri.get(), value, truth);
   }
 }
 

@@ -97,10 +97,16 @@ class CompiledPredicate {
   void Finish();
 
   /// The interpreters: each leaves a value program's result in `*value`
-  /// or a predicate program's in `*truth` (exactly one is non-null).
+  /// or a predicate program's in `*truth` (exactly one is non-null). They
+  /// run their loop on kMaxStack-slot local stacks when the program fits
+  /// and on heap buffers otherwise.
   void RunInterval(const Interval* const* rows, Interval* value,
                    Tri* truth) const;
   void RunScalar(const double* const* rows, double* value, bool* truth) const;
+  void IntervalLoop(const Interval* const* rows, Interval* num, Tri* tri,
+                    Interval* value, Tri* truth) const;
+  void ScalarLoop(const double* const* rows, double* num, bool* tri,
+                  double* value, bool* truth) const;
 
   /// Whole-program specializations of the two shapes that dominate the
   /// filter join's candidate re-evaluation; they run the identical interval
