@@ -12,9 +12,19 @@
 //     shared (one phase set per group) vs dedicated (one phase set per
 //     query). The shared upward cost should scale ~1/N of dedicated.
 //
+//  3. Retention: the 4-query shared configuration for 30 epochs with a
+//     stream summarizer on the report sink. Resident memory must stay flat
+//     over epochs; the same run through the collecting RunService, which
+//     keeps every stream, is the floor that shows the measurement can see
+//     growth.
+//
 // Snapshot references and sweep configurations are independent, so they run
 // as ParallelRunner trials on per-trial testbeds; each service run itself
-// is a sequential epoch loop (the delta engines carry state).
+// is a sequential epoch loop (the delta engines carry state). The retention
+// runs are sequential, on the main thread.
+
+#include <malloc.h>
+#include <unistd.h>
 
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +45,9 @@ namespace {
 constexpr int kEpochs = 6;
 constexpr int kNumNodes = 250;
 const int kSweep[] = {1, 4, 16, 64};
+constexpr int kRetentionQueries = 4;
+constexpr uint64_t kRetentionEpochs = 30;
+constexpr uint64_t kRetentionFirstSample = 10;  ///< epochs done at 1st read
 
 /// Join-predicate spread: every query shares the collection signature
 /// (sensors x sensors, join attribute temp, no selections) but keeps its
@@ -109,10 +122,64 @@ double TotalStationCpu(const std::vector<service::ServiceEpochReport>& es) {
   return total;
 }
 
+/// Current resident set size in MB, from /proc/self/statm (0 when
+/// unreadable).
+double CurrentRssMb() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size_pages = 0;
+  uint64_t resident_pages = 0;
+  if (!(statm >> size_pages >> resident_pages)) return 0.0;
+  return static_cast<double>(resident_pages) *
+         static_cast<double>(sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
+}
+
+struct RetentionOutcome {
+  double rss_first_mb = 0.0;  ///< after kRetentionFirstSample epochs
+  double rss_last_mb = 0.0;   ///< after kRetentionEpochs epochs
+  uint64_t rows_per_epoch = 0;  ///< rows of the last epoch, all queries
+  size_t summaries = 0;
+
+  double GrowthMbPerEpoch() const {
+    return (rss_last_mb - rss_first_mb) /
+           static_cast<double>(kRetentionEpochs - kRetentionFirstSample);
+  }
+};
+
+/// The 4-query shared sweep configuration run for kRetentionEpochs epochs
+/// with a stream summarizer on the report sink, reading RSS after epochs
+/// 10 and 30. `collect` runs it through RunService, which also keeps every
+/// query's full stream: the floor a working gate must tell apart.
+RetentionOutcome RunRetention(uint64_t seed, bool collect) {
+  auto tb = MustCreateTestbed(PaperDefaultParams(seed, kNumNodes));
+  testbed::ServiceRunParams params = SweepParams(kRetentionQueries, true);
+  params.epochs = kRetentionEpochs;
+  service::StreamSummarizer summarizer;
+  RetentionOutcome outcome;
+  uint64_t epochs_done = 0;
+  testbed::ServiceRunObservers observers;
+  observers.sink = summarizer.Sink();
+  observers.on_epoch = [&](const service::ServiceEpochReport& e) {
+    ++epochs_done;
+    if (epochs_done == kRetentionFirstSample) {
+      outcome.rss_first_mb = CurrentRssMb();
+    }
+    if (epochs_done == kRetentionEpochs) outcome.rss_last_mb = CurrentRssMb();
+    outcome.rows_per_epoch = e.matched_rows;
+  };
+  auto run = collect ? testbed::RunService(*tb, params, observers)
+                     : testbed::DriveService(*tb, params, observers);
+  SENSJOIN_CHECK(run.ok()) << run.status();
+  SENSJOIN_CHECK(epochs_done == kRetentionEpochs);
+  outcome.summaries = summarizer.summaries().size();
+  return outcome;
+}
+
 void WriteServiceJson(const std::string& path, uint64_t seed,
                       double snapshot_collection, double delta_steady,
                       uint64_t bootstrap_collection,
-                      const std::vector<SweepOutcome>& outcomes) {
+                      const std::vector<SweepOutcome>& outcomes,
+                      const RetentionOutcome& bounded,
+                      const RetentionOutcome& collecting) {
   std::ofstream out(path);
   out << "{\n  \"schema\": \"sensjoin-service-v1\",\n"
       << "  \"seed\": " << seed << ",\n  \"num_nodes\": " << kNumNodes
@@ -138,7 +205,13 @@ void WriteServiceJson(const std::string& path, uint64_t seed,
         << TotalStationCpu(dedicated.run.epochs) << "}"
         << (s + 2 < outcomes.size() ? ",\n" : "\n");
   }
-  out << "  ]\n}\n";
+  out << "  ],\n  \"retention\": {\"queries\": " << kRetentionQueries
+      << ", \"epochs\": " << kRetentionEpochs
+      << ", \"rows_per_epoch\": " << bounded.rows_per_epoch
+      << ", \"rss_growth_mb_per_epoch\": "
+      << obs::JsonDouble(bounded.GrowthMbPerEpoch())
+      << ", \"floor_rss_growth_mb_per_epoch\": "
+      << obs::JsonDouble(collecting.GrowthMbPerEpoch()) << "}\n}\n";
   std::cout << "\nwrote service sweep baseline to " << path << "\n";
 }
 
@@ -260,9 +333,32 @@ void Main(uint64_t seed, int threads, const std::string& json_path) {
   std::cout << "\nshared == dedicated result streams verified for every "
                "sweep point\n";
 
+  // ---- 3. Retention: flat memory over epochs ------------------------------
+  // Hand memory the sweep freed back to the OS first, so a run that grows
+  // cannot hide in it.
+  malloc_trim(0);
+  const RetentionOutcome bounded = RunRetention(seed, /*collect=*/false);
+  const RetentionOutcome collecting = RunRetention(seed, /*collect=*/true);
+  SENSJOIN_CHECK(bounded.rows_per_epoch == collecting.rows_per_epoch &&
+                 bounded.summaries == collecting.summaries)
+      << "retention runs disagree";
+  std::cout << "\nretention: " << kRetentionQueries << " queries shared, "
+            << kRetentionEpochs << " epochs, " << bounded.rows_per_epoch
+            << " rows/epoch, " << bounded.summaries << " stream summaries\n";
+  TablePrinter rtable({"run", "rss@" + Fmt(kRetentionFirstSample) + " MB",
+                       "rss@" + Fmt(kRetentionEpochs) + " MB",
+                       "growth MB/epoch"});
+  const auto add_row = [&rtable](const char* name, const RetentionOutcome& r) {
+    rtable.AddRow({name, Fmt(r.rss_first_mb, 1), Fmt(r.rss_last_mb, 1),
+                   Fmt(r.GrowthMbPerEpoch(), 3)});
+  };
+  add_row("latest report + sink", bounded);
+  add_row("collecting RunService", collecting);
+  rtable.Print(std::cout);
+
   if (!json_path.empty()) {
     WriteServiceJson(json_path, seed, snapshot_collection, delta_steady,
-                     bootstrap_collection, *outcomes);
+                     bootstrap_collection, *outcomes, bounded, collecting);
   }
 }
 

@@ -51,6 +51,13 @@ Service mode:
     phases must amortize at least 4x at 16 queries.
   Both bounds are deterministic simulator packet counts, not wall-clock
   timings, so they are enforced unconditionally.
+  - retention: resident memory of the 4-query shared run with a stream
+    summarizer on the report sink must grow by at most
+    RETENTION_GROWTH_MB_PER_EPOCH (0.5) per epoch between epochs 10 and
+    30, and the same run through the collecting RunService (which keeps
+    every stream) must grow by at least RETENTION_FLOOR_FACTOR (4) times
+    that bound, so the gate cannot pass on a measurement that sees no
+    growth at all.
 """
 import json
 import sys
@@ -60,6 +67,8 @@ RSS_PER_NODE_BUDGET_KB = 32.0
 SERVICE_COLLECTION_RATIO = 0.5
 SERVICE_SHARING_RATIO = 0.25
 SERVICE_SHARING_POINT = 16
+RETENTION_GROWTH_MB_PER_EPOCH = 0.5
+RETENTION_FLOOR_FACTOR = 4.0
 
 
 def check_filterjoin(path: str, n: str, min_ratio: float) -> int:
@@ -192,6 +201,32 @@ def check_service(path: str) -> int:
             "FAIL: shared phases amortize less than "
             f"{1.0 / SERVICE_SHARING_RATIO:.0f}x at "
             f"{SERVICE_SHARING_POINT} queries"
+        )
+        return 1
+
+    retention = service.get("retention")
+    if retention is None:
+        print("FAIL: service section has no 'retention' result")
+        return 1
+    growth = float(retention["rss_growth_mb_per_epoch"])
+    floor = float(retention["floor_rss_growth_mb_per_epoch"])
+    floor_bound = RETENTION_FLOOR_FACTOR * RETENTION_GROWTH_MB_PER_EPOCH
+    print(
+        f"retention over {retention['epochs']} epochs "
+        f"({retention['rows_per_epoch']} rows/epoch): RSS growth "
+        f"{growth:.3f} MB/epoch (bound {RETENTION_GROWTH_MB_PER_EPOCH}), "
+        f"collecting floor {floor:.3f} MB/epoch (required >= {floor_bound})"
+    )
+    if floor < floor_bound:
+        print(
+            "FAIL: the collecting floor run grew less than "
+            f"{floor_bound} MB/epoch; the measurement cannot see growth"
+        )
+        return 1
+    if growth > RETENTION_GROWTH_MB_PER_EPOCH:
+        print(
+            "FAIL: service memory grows by more than "
+            f"{RETENTION_GROWTH_MB_PER_EPOCH} MB per epoch"
         )
         return 1
     print("OK: service sweep bounds hold")

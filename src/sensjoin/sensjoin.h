@@ -42,6 +42,7 @@
 #include "sensjoin/query/signature.h"         // IWYU pragma: export
 #include "sensjoin/service/join_service.h"    // IWYU pragma: export
 #include "sensjoin/service/query_registry.h"  // IWYU pragma: export
+#include "sensjoin/service/stream_summary.h"  // IWYU pragma: export
 #include "sensjoin/sim/fault_model.h"         // IWYU pragma: export
 #include "sensjoin/sim/simulator.h"           // IWYU pragma: export
 #include "sensjoin/testbed/parallel.h"        // IWYU pragma: export

@@ -257,9 +257,14 @@ StatusOr<bool> JoinService::RunEpochAttempt(uint64_t epoch,
     group_reports.push_back(std::move(gr));
   }
 
-  // The whole epoch succeeded: deliver the staged per-query reports.
+  // The whole epoch succeeded: deliver the staged per-query reports. Each
+  // record keeps only the latest one; the stream goes to the sink.
   for (auto& [id, er] : staged) {
-    registry_.GetMutable(id)->reports.push_back(std::move(er));
+    if (report_sink_) report_sink_(id, epoch, er);
+    std::vector<join::ExecutionReport>& latest =
+        registry_.GetMutable(id)->reports;
+    latest.clear();
+    latest.push_back(std::move(er));
   }
   last_group_reports_ = std::move(group_reports);
   return true;

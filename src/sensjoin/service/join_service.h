@@ -2,6 +2,7 @@
 #define SENSJOIN_SERVICE_JOIN_SERVICE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -74,6 +75,10 @@ struct ServiceEpochReport {
   size_t matched_rows = 0;  ///< exact result rows over all member queries
 };
 
+/// Observer of committed per-query reports: (query, service epoch, report).
+using ReportSink = std::function<void(QueryId, uint64_t epoch,
+                                      const join::ExecutionReport&)>;
+
 /// Continuous multi-query join service at the base station: admission via
 /// QueryRegistry, an epoch scheduler driving delta-based continuous
 /// execution (DeltaGroupExecutor), incremental per-query join-filter
@@ -118,10 +123,18 @@ class JoinService {
   Status Cancel(QueryId id);
 
   /// Executes one epoch for every active query (epochs self-number from 0).
-  /// Per-query ExecutionReports are appended to the registry records;
-  /// returns the service-level rollup. Fails only when retries are
+  /// Each query's ExecutionReport replaces the one its registry record
+  /// holds; returns the service-level rollup. Fails only when retries are
   /// exhausted or no query is active.
   StatusOr<ServiceEpochReport> RunEpoch();
+
+  /// Installs the observer of the per-query result streams (an empty
+  /// function detaches it). It is called once per active query after the
+  /// whole epoch succeeded, in ascending QueryId, just before the report
+  /// replaces the record's previous one; reports of an aborted attempt
+  /// never reach it. Like an attached obs::Tracer it changes nothing the
+  /// service computes. It must not call back into the service.
+  void set_report_sink(ReportSink sink) { report_sink_ = std::move(sink); }
 
   /// Per-group attribution of the last successful epoch.
   const std::vector<GroupEpochReport>& last_group_reports() const {
@@ -170,6 +183,7 @@ class JoinService {
   /// deterministic phase order within an epoch.
   std::map<std::string, Group> groups_;
   std::vector<GroupEpochReport> last_group_reports_;
+  ReportSink report_sink_;
 };
 
 }  // namespace sensjoin::service

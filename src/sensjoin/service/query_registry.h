@@ -23,13 +23,13 @@ using QueryId = uint64_t;
 /// execution (their first epoch is a base-station-side bootstrap of the
 /// filter; the network-side collection is shared with their group and needs
 /// no extra bootstrap traffic unless the group is new). Cancelled queries
-/// keep their report stream but leave the execution set immediately.
+/// keep their last report but leave the execution set immediately.
 enum class QueryState { kAdmitted, kRunning, kCancelled };
 
 const char* QueryStateName(QueryState state);
 
 /// One registered query: the analyzed form the executors run, its sharing
-/// signature, per-query protocol knobs, and the per-epoch report stream.
+/// signature, per-query protocol knobs, and its latest committed report.
 struct QueryRecord {
   QueryId id = 0;
   std::string sql;
@@ -44,9 +44,13 @@ struct QueryRecord {
   /// Service epoch at which the query was admitted / cancelled.
   uint64_t admitted_epoch = 0;
   uint64_t cancelled_epoch = 0;
-  /// Per-epoch execution reports, in epoch order (the query's result
-  /// stream). `cost` entries are the *shared group* cost, with
-  /// shared_group_size recording how many queries split it.
+  /// The latest committed execution report: empty before the query's
+  /// first epoch, exactly one element afterwards (each commit replaces
+  /// it), so a record's memory does not grow with epochs. The full
+  /// per-epoch stream goes to JoinService::set_report_sink. The member
+  /// keeps its vector type and name for existing `reports.back()`
+  /// readers. `cost` is the *shared group* cost, with shared_group_size
+  /// recording how many queries split it.
   std::vector<join::ExecutionReport> reports;
 
   QueryRecord(QueryId id_in, std::string sql_in, query::AnalyzedQuery q,
@@ -76,7 +80,7 @@ class QueryRegistry {
   StatusOr<QueryId> Register(const std::string& sql,
                              join::ProtocolConfig protocol, uint64_t epoch);
 
-  /// Cancels an active query (keeps its record and report stream).
+  /// Cancels an active query (keeps its record and last report).
   Status Cancel(QueryId id, uint64_t epoch);
 
   /// Record lookup (registered ids only; cancelled queries remain

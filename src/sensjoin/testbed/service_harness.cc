@@ -11,9 +11,11 @@ service::JoinService MakeService(Testbed& tb, service::ServiceConfig config) {
                               tb.quantization(), config);
 }
 
-StatusOr<ServiceRunResult> RunService(Testbed& tb,
-                                      const ServiceRunParams& params) {
+StatusOr<ServiceRunResult> DriveService(Testbed& tb,
+                                        const ServiceRunParams& params,
+                                        const ServiceRunObservers& observers) {
   service::JoinService svc = MakeService(tb, params.config);
+  svc.set_report_sink(observers.sink);
   ServiceRunResult result;
 
   for (const std::string& sql : params.initial_queries) {
@@ -45,14 +47,27 @@ StatusOr<ServiceRunResult> RunService(Testbed& tb,
     if (svc.registry().active_count() == 0) continue;
     SENSJOIN_ASSIGN_OR_RETURN(service::ServiceEpochReport report,
                               svc.RunEpoch());
+    if (observers.on_epoch) observers.on_epoch(report);
     result.epochs.push_back(std::move(report));
   }
+  return result;
+}
 
-  for (const service::QueryId id : result.admitted) {
-    SENSJOIN_ASSIGN_OR_RETURN(const service::QueryRecord* record,
-                              svc.registry().Get(id));
-    result.query_reports.emplace(id, record->reports);
-  }
+StatusOr<ServiceRunResult> RunService(Testbed& tb,
+                                      const ServiceRunParams& params,
+                                      const ServiceRunObservers& observers) {
+  std::map<service::QueryId, std::vector<join::ExecutionReport>> streams;
+  ServiceRunObservers collecting = observers;
+  collecting.sink = [&streams, &observers](
+                        service::QueryId id, uint64_t epoch,
+                        const join::ExecutionReport& report) {
+    streams[id].push_back(report);
+    if (observers.sink) observers.sink(id, epoch, report);
+  };
+  SENSJOIN_ASSIGN_OR_RETURN(ServiceRunResult result,
+                            DriveService(tb, params, collecting));
+  for (const service::QueryId id : result.admitted) streams.try_emplace(id);
+  result.query_reports = std::move(streams);
   return result;
 }
 

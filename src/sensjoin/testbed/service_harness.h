@@ -2,6 +2,7 @@
 #define SENSJOIN_TESTBED_SERVICE_HARNESS_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -46,19 +47,37 @@ struct ServiceRunResult {
   std::vector<service::QueryId> admitted;
   /// Service-level rollup per executed epoch.
   std::vector<service::ServiceEpochReport> epochs;
-  /// Per-query report streams, copied out of the registry at the end (a
-  /// query's stream covers the epochs it was active in).
+  /// Per-query report streams, collected through the service's report sink
+  /// (a query's stream covers the epochs it was active in; every admitted
+  /// query has an entry). Filled by RunService only.
   std::map<service::QueryId, std::vector<join::ExecutionReport>>
       query_reports;
 };
 
+/// Observers of a scripted run; either may be empty.
+struct ServiceRunObservers {
+  /// Sees every committed per-query report (JoinService::set_report_sink).
+  service::ReportSink sink;
+  /// Sees each committed epoch's rollup, after its reports were delivered.
+  std::function<void(const service::ServiceEpochReport&)> on_epoch;
+};
+
 /// Drives a JoinService over `tb` for `params.epochs` scheduled epochs,
 /// applying the churn schedule (events fire when their `epoch` equals the
-/// schedule step). Fails on invalid churn (bad SQL, unknown cancel target)
-/// or an epoch that exhausts its retries; a step with no active queries is
-/// skipped without advancing the service's epoch counter.
-StatusOr<ServiceRunResult> RunService(Testbed& tb,
-                                      const ServiceRunParams& params);
+/// schedule step). Reports reach only `observers`, so `query_reports`
+/// stays empty and the run's memory stays flat over epochs. Fails on
+/// invalid churn (bad SQL, unknown cancel target) or an epoch that exhausts
+/// its retries; a step with no active queries is skipped without advancing
+/// the service's epoch counter.
+StatusOr<ServiceRunResult> DriveService(Testbed& tb,
+                                        const ServiceRunParams& params,
+                                        const ServiceRunObservers& observers);
+
+/// DriveService that also collects every query's full report stream into
+/// `query_reports` (before `observers.sink` sees each report).
+StatusOr<ServiceRunResult> RunService(
+    Testbed& tb, const ServiceRunParams& params,
+    const ServiceRunObservers& observers = ServiceRunObservers{});
 
 }  // namespace sensjoin::testbed
 

@@ -2,15 +2,20 @@
 // indistinguishable from independent full executions (filters and rows),
 // shared-phase groups must reproduce dedicated per-query runs, admission
 // churn must keep report streams consistent, lossy links must be resynced
-// without changing any row, and scripted service runs must be
-// deterministic across runner thread counts.
+// without changing any row, records must keep only their latest report
+// while the report sink sees every committed one, stream summaries must
+// account for every row, and scripted service runs must be deterministic
+// across runner thread counts.
 
 #include "sensjoin/service/join_service.h"
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,6 +80,29 @@ std::vector<std::vector<double>> SortedRows(const join::JoinResult& r) {
   return rows;
 }
 
+/// The multiset of a result's row identities (contributor sets), sorted.
+std::vector<std::vector<sim::NodeId>> SortedIdentities(
+    const join::JoinResult& r) {
+  auto ids = r.row_nodes;
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+/// Records what a report sink receives: every (query, epoch) delivery and
+/// a copy of each report of the current epoch (the caller clears both).
+struct SinkLog {
+  std::vector<std::pair<QueryId, uint64_t>> calls;
+  std::map<QueryId, join::ExecutionReport> epoch_reports;
+
+  ReportSink Sink() {
+    return [this](QueryId id, uint64_t epoch,
+                  const join::ExecutionReport& report) {
+      calls.emplace_back(id, epoch);
+      epoch_reports.insert_or_assign(id, report);
+    };
+  }
+};
+
 TEST(ServiceTest, IncrementalExecutionMatchesSnapshotExecutions) {
   // A lone query, and a three-member group whose members share a
   // selection the analyzer pushes down onto A: the group splits its
@@ -117,7 +145,7 @@ TEST(ServiceTest, IncrementalExecutionMatchesSnapshotExecutions) {
         ASSERT_TRUE(snapshot.ok()) << snapshot.status();
         auto record = service.registry().Get(ids[i]);
         ASSERT_TRUE(record.ok());
-        const join::ExecutionReport& mine = (*record)->reports.at(epoch);
+        const join::ExecutionReport& mine = (*record)->reports.back();
         EXPECT_EQ(mine.collected_points, snapshot->collected_points);
         EXPECT_EQ(mine.filter_points, snapshot->filter_points);
         EXPECT_EQ(SortedRows(mine.result), SortedRows(snapshot->result))
@@ -167,7 +195,7 @@ TEST(ServiceTest, LossyLinksResyncAndKeepRowsExact) {
           testbed::ComputeGroundTruth(**tb, queries[i], epoch);
       auto record = service.registry().Get(ids[i]);
       ASSERT_TRUE(record.ok());
-      EXPECT_EQ(SortedRows((*record)->reports.at(epoch).result),
+      EXPECT_EQ(SortedRows((*record)->reports.back().result),
                 SortedRows(truth))
           << "query " << i << " epoch " << epoch;
     }
@@ -175,6 +203,125 @@ TEST(ServiceTest, LossyLinksResyncAndKeepRowsExact) {
   // The loss must actually have exercised both fault paths.
   EXPECT_GT(resyncs, 0u);
   EXPECT_GT(rebuilds, 0u);
+}
+
+TEST(ServiceTest, RetainsOnlyLatestReport) {
+  // Register/cancel churn over two sharing groups for 32 epochs. After
+  // every epoch each record, cancelled ones too, holds exactly one report,
+  // and the sink saw exactly that report once per active query, in
+  // ascending id, with each query's epochs consecutive.
+  auto tb = testbed::Testbed::Create(SmallParams(11));
+  ASSERT_TRUE(tb.ok());
+  auto service = testbed::MakeService(**tb, SharedConfig());
+  SinkLog log;
+  service.set_report_sink(log.Sink());
+  std::vector<QueryId> registered;
+  const auto admit = [&](const std::string& sql) {
+    auto id = service.Register(sql);
+    ASSERT_TRUE(id.ok()) << id.status();
+    registered.push_back(*id);
+  };
+  admit(FamilyQuery(0));
+  admit(SelectedFamilyQuery(0));
+
+  std::map<QueryId, uint64_t> last_epoch;
+  std::map<QueryId, size_t> last_matched;
+  size_t cancels = 0;
+  for (uint64_t epoch = 0; epoch < 32; ++epoch) {
+    const int i = static_cast<int>(epoch);
+    if (epoch % 3 == 1) {
+      admit(epoch % 2 == 1 ? FamilyQuery(i) : SelectedFamilyQuery(i));
+    }
+    if (epoch % 4 == 3) {
+      ASSERT_TRUE(service.Cancel(service.registry().ActiveIds().front()).ok());
+      ++cancels;
+    }
+    const std::vector<QueryId> active = service.registry().ActiveIds();
+    log.calls.clear();
+    log.epoch_reports.clear();
+    auto report = service.RunEpoch();
+    ASSERT_TRUE(report.ok()) << "epoch " << epoch << ": " << report.status();
+    ASSERT_EQ(report->epoch, epoch);
+
+    std::vector<QueryId> delivered;
+    for (const auto& [id, e] : log.calls) {
+      EXPECT_EQ(e, epoch) << "query " << id;
+      delivered.push_back(id);
+    }
+    EXPECT_EQ(delivered, active) << "epoch " << epoch;
+    for (const QueryId id : active) {
+      const auto it = last_epoch.find(id);
+      if (it != last_epoch.end()) {
+        EXPECT_EQ(it->second + 1, epoch) << "query " << id;
+      }
+      last_epoch[id] = epoch;
+    }
+
+    for (const QueryId id : registered) {
+      auto record = service.registry().Get(id);
+      ASSERT_TRUE(record.ok());
+      ASSERT_EQ((*record)->reports.size(), 1u)
+          << "query " << id << " epoch " << epoch;
+      const join::ExecutionReport& latest = (*record)->reports.back();
+      const auto seen = log.epoch_reports.find(id);
+      if (seen == log.epoch_reports.end()) {
+        // Cancelled: the record keeps the report of its last epoch.
+        EXPECT_EQ((*record)->state, QueryState::kCancelled);
+        EXPECT_EQ(latest.result.matched_combinations, last_matched.at(id));
+        continue;
+      }
+      EXPECT_EQ(SortedRows(seen->second.result), SortedRows(latest.result))
+          << "query " << id << " epoch " << epoch;
+      EXPECT_EQ(seen->second.result.contributing_nodes,
+                latest.result.contributing_nodes);
+      EXPECT_EQ(seen->second.result.matched_combinations,
+                latest.result.matched_combinations);
+      last_matched[id] = latest.result.matched_combinations;
+    }
+  }
+  EXPECT_EQ(cancels, 8u);
+  EXPECT_EQ(registered.size(), 13u);
+}
+
+TEST(ServiceTest, LossyLinksDeliverOnlyCommittedEpochsToSink) {
+  // The 2%-loss setup of LossyLinksResyncAndKeepRowsExact: aborted epoch
+  // attempts rebuild the tree and re-run, and none of their reports may
+  // reach the sink.
+  auto tb = testbed::Testbed::Create(MediumParams(3));
+  ASSERT_TRUE(tb.ok());
+  sim::FaultPlan plan;
+  plan.default_loss_rate = 0.02;
+  (*tb)->InjectFaults(plan);
+  auto service = testbed::MakeService(**tb, SharedConfig());
+  SinkLog log;
+  service.set_report_sink(log.Sink());
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 3; ++i) {
+    auto id = service.Register(SelectedFamilyQuery(i));
+    ASSERT_TRUE(id.ok()) << id.status();
+    ids.push_back(*id);
+  }
+
+  size_t rebuilds = 0;
+  size_t expected_deliveries = 0;
+  for (uint64_t epoch = 0; epoch < 5; ++epoch) {
+    expected_deliveries += service.registry().active_count();
+    auto report = service.RunEpoch();
+    ASSERT_TRUE(report.ok()) << "epoch " << epoch << ": " << report.status();
+    rebuilds += report->tree_rebuilds;
+    EXPECT_EQ(log.calls.size(), expected_deliveries) << "epoch " << epoch;
+    for (const QueryId id : ids) {
+      auto record = service.registry().Get(id);
+      ASSERT_TRUE(record.ok());
+      ASSERT_EQ((*record)->reports.size(), 1u);
+      EXPECT_EQ(SortedRows(log.epoch_reports.at(id).result),
+                SortedRows((*record)->reports.back().result));
+    }
+  }
+  EXPECT_GT(rebuilds, 0u);
+  std::map<std::pair<QueryId, uint64_t>, int> deliveries;
+  for (const auto& call : log.calls) ++deliveries[call];
+  EXPECT_EQ(deliveries.size(), expected_deliveries);
 }
 
 TEST(ServiceTest, SixteenQueryGroupMatchesDedicatedExecutions) {
@@ -222,6 +369,139 @@ TEST(ServiceTest, SixteenQueryGroupMatchesDedicatedExecutions) {
               dedicated->epochs[e].cost.join_packets)
         << "epoch " << e;
   }
+}
+
+TEST(ServiceTest, StreamSummariesAccountForEveryRow) {
+  auto tb = testbed::Testbed::Create(SmallParams(11));
+  ASSERT_TRUE(tb.ok());
+  testbed::ServiceRunParams params;
+  params.epochs = 8;
+  params.config = SharedConfig();
+  params.initial_queries = {FamilyQuery(0), FamilyQuery(1)};
+  testbed::ChurnEvent join_event;
+  join_event.epoch = 2;
+  join_event.sql = FamilyQuery(2);
+  params.churn.push_back(join_event);
+  testbed::ChurnEvent leave_event;
+  leave_event.epoch = 5;
+  leave_event.kind = testbed::ChurnEvent::Kind::kCancel;
+  params.churn.push_back(leave_event);
+
+  StreamSummarizer summarizer;
+  testbed::ServiceRunObservers observers;
+  observers.sink = summarizer.Sink();
+  auto run = testbed::RunService(**tb, params, observers);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const std::vector<EpochStreamSummary>& summaries = summarizer.summaries();
+  // Query 1 runs epochs 0-4, query 2 epochs 0-7, query 3 epochs 2-7.
+  ASSERT_EQ(summaries.size(), 5u + 8u + 6u);
+
+  std::map<QueryId, size_t> position;
+  std::map<QueryId, EpochStreamSummary> previous;
+  std::map<QueryId, int64_t> net_rows;
+  size_t moved = 0;
+  for (const EpochStreamSummary& s : summaries) {
+    const std::vector<join::ExecutionReport>& stream =
+        run->query_reports.at(s.query);
+    const size_t k = position[s.query]++;
+    ASSERT_LT(k, stream.size());
+    const join::ExecutionReport& report = stream[k];
+    EXPECT_EQ(s.rows, report.result.rows.size());
+    EXPECT_EQ(s.candidate_tuples, report.candidate_tuples);
+    EXPECT_EQ(s.filter_points, report.filter_points);
+    EXPECT_EQ(s.delta_changed_nodes, report.delta_changed_nodes);
+    EXPECT_EQ(s.rows, s.added + s.kept);
+
+    const auto prev = previous.find(s.query);
+    if (prev == previous.end()) {
+      EXPECT_EQ(s.kept, 0u);
+      EXPECT_EQ(s.removed, 0u);
+    } else {
+      EXPECT_EQ(prev->second.epoch + 1, s.epoch);
+      EXPECT_EQ(prev->second.rows, s.removed + s.kept);
+      // Oracle: multiset intersection of the two epochs' identities.
+      const auto before = SortedIdentities(stream[k - 1].result);
+      const auto now = SortedIdentities(report.result);
+      std::vector<std::vector<sim::NodeId>> common;
+      std::set_intersection(before.begin(), before.end(), now.begin(),
+                            now.end(), std::back_inserter(common));
+      EXPECT_EQ(s.kept, common.size())
+          << "query " << s.query << " epoch " << s.epoch;
+      moved += s.added + s.removed;
+    }
+    net_rows[s.query] += static_cast<int64_t>(s.added) -
+                         static_cast<int64_t>(s.removed);
+    previous.insert_or_assign(s.query, s);
+  }
+  for (const auto& [id, stream] : run->query_reports) {
+    EXPECT_EQ(position[id], stream.size());
+    EXPECT_EQ(net_rows[id],
+              static_cast<int64_t>(stream.back().result.rows.size()))
+        << "query " << id;
+  }
+  // Drifting readings move rows in and out between epochs.
+  EXPECT_GT(moved, 0u);
+
+  const std::string csv = summarizer.ToCsv();
+  EXPECT_EQ(static_cast<size_t>(std::count(csv.begin(), csv.end(), '\n')),
+            summaries.size() + 1);
+  EXPECT_EQ(csv.substr(0, csv.find('\n')),
+            "query,epoch,rows,added,removed,kept,candidate_tuples,"
+            "filter_points,delta_changed_nodes");
+  const EpochStreamSummary& first = summaries.front();
+  const std::string first_line =
+      std::to_string(first.query) + "," + std::to_string(first.epoch) + "," +
+      std::to_string(first.rows) + "," + std::to_string(first.added) +
+      ",0,0," + std::to_string(first.candidate_tuples) + "," +
+      std::to_string(first.filter_points) + "," +
+      std::to_string(first.delta_changed_nodes);
+  EXPECT_EQ(csv.substr(csv.find('\n') + 1, first_line.size() + 1),
+            first_line + "\n");
+  const std::string json = summarizer.ToJson();
+  EXPECT_EQ(json.rfind("{\"schema\": \"sensjoin-stream-summary-v1\"", 0),
+            0u);
+  size_t objects = 0;
+  for (size_t at = json.find("{\"query\": "); at != std::string::npos;
+       at = json.find("{\"query\": ", at + 1)) {
+    ++objects;
+  }
+  EXPECT_EQ(objects, summaries.size());
+  EXPECT_NE(json.find("\"delta_changed_nodes\": " +
+                      std::to_string(summaries.back().delta_changed_nodes) +
+                      "}\n]}"),
+            std::string::npos);
+}
+
+TEST(ServiceTest, SixteenQueryStreamSummariesMatchDedicated) {
+  auto shared_tb = testbed::Testbed::Create(SmallParams(7));
+  auto dedicated_tb = testbed::Testbed::Create(SmallParams(7));
+  ASSERT_TRUE(shared_tb.ok());
+  ASSERT_TRUE(dedicated_tb.ok());
+  testbed::ServiceRunParams params;
+  params.epochs = 4;
+  params.config = SharedConfig();
+  for (int i = 0; i < 16; ++i) {
+    params.initial_queries.push_back(FamilyQuery(i));
+  }
+  StreamSummarizer shared_summary;
+  StreamSummarizer dedicated_summary;
+  testbed::ServiceRunObservers observers;
+  observers.sink = shared_summary.Sink();
+  auto shared = testbed::DriveService(**shared_tb, params, observers);
+  ASSERT_TRUE(shared.ok()) << shared.status();
+  params.config.share_phases = false;
+  observers.sink = dedicated_summary.Sink();
+  auto dedicated = testbed::DriveService(**dedicated_tb, params, observers);
+  ASSERT_TRUE(dedicated.ok()) << dedicated.status();
+  // DriveService leaves collection to its observers.
+  EXPECT_TRUE(shared->query_reports.empty());
+  EXPECT_EQ(shared->epochs.back().groups, 1u);
+  EXPECT_EQ(dedicated->epochs.back().groups, 16u);
+
+  ASSERT_EQ(shared_summary.summaries().size(), 16u * 4u);
+  EXPECT_EQ(shared_summary.summaries(), dedicated_summary.summaries());
+  EXPECT_EQ(shared_summary.ToJson(), dedicated_summary.ToJson());
+  EXPECT_EQ(shared_summary.ToCsv(), dedicated_summary.ToCsv());
 }
 
 TEST(ServiceTest, DifferentSignaturesFormSeparateGroups) {
@@ -302,7 +582,7 @@ TEST(ServiceTest, RegistryRejectsMalformedAndUnknown) {
   EXPECT_TRUE(service.Cancel(*a).ok());
   EXPECT_FALSE(service.Cancel(*a).ok());  // double cancel
   EXPECT_TRUE(service.Register(FamilyQuery(2)).ok());
-  // Cancelled records stay queryable (their report stream survives).
+  // Cancelled records stay queryable (their last report survives).
   auto record = service.registry().Get(*a);
   ASSERT_TRUE(record.ok());
   EXPECT_EQ((*record)->state, QueryState::kCancelled);
