@@ -5,7 +5,9 @@
 //      agree bit for bit with the reference tree walkers EvalPredicate /
 //      EvalScalar on every join predicate and SELECT expression;
 //   2. ComputeExactJoin (the indexed plan) returns the same JoinResult, bit
-//      for bit, as the nested-loop reference DFS it replaced;
+//      for bit, as the nested-loop reference DFS it replaced, and
+//      PartneredCandidates marks exactly the candidate positions of the
+//      reference's matches;
 //   3. the compiled interval programs agree bit for bit with the reference
 //      interval walkers EvalTri / EvalInterval, over interval rows that hull
 //      each decoded value with the next pool tuple's value of the same
@@ -307,9 +309,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   // Property 2.
+  std::vector<std::vector<bool>> partnered;
   const JoinResult want =
-      sensjoin::join::reference::ReferenceExactJoin(q, per_table);
+      sensjoin::join::reference::ReferenceExactJoin(q, per_table, &partnered);
   const JoinResult got = sensjoin::join::ComputeExactJoin(q, per_table);
-  if (!SameResult(want, got)) __builtin_trap();
+  if (!SameResult(want, got) ||
+      sensjoin::join::PartneredCandidates(q, per_table) != partnered) {
+    __builtin_trap();
+  }
   return 0;
 }

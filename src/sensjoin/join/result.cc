@@ -112,14 +112,118 @@ void VisitInRange(std::vector<uint64_t>& bits, const SortedIndex& idx,
   }
 }
 
+using PerTable = std::vector<std::vector<const data::Tuple*>>;
+
+/// The indexed plan of one call: per FROM entry t, the join predicates
+/// whose highest referenced table is t and the probe constraints they yield
+/// on t; plus the search's current assignment.
+struct Plan {
+  const PerTable& per_table;
+  std::vector<Level> levels;
+  std::vector<const double*> rows;  ///< values of the chosen candidates
+  std::vector<uint32_t> chosen;     ///< candidate position per level
+
+  Plan(const query::AnalyzedQuery& q, const PerTable& per_table_tuples)
+      : per_table(per_table_tuples),
+        levels(q.num_tables()),
+        rows(q.num_tables(), nullptr),
+        chosen(q.num_tables(), 0) {
+    SENSJOIN_CHECK_EQ(static_cast<int>(per_table.size()), q.num_tables());
+    for (const auto& p : q.join_predicates()) {
+      std::set<int> tables;
+      p->CollectTableIndices(&tables);
+      SENSJOIN_CHECK(!tables.empty());
+      const int t = *tables.rbegin();
+      Level& level = levels[t];
+      level.residual.push_back(query::CompiledPredicate::Compile(*p));
+      for (query::ProbeConstraint& c :
+           query::ProbeConstraint::Extract(*p, t)) {
+        size_t index = 0;
+        while (index < level.indexes.size() &&
+               level.indexes[index].attr != c.attr_index()) {
+          ++index;
+        }
+        if (index == level.indexes.size()) {
+          level.indexes.emplace_back(c.attr_index(), per_table[t]);
+        }
+        level.probes.push_back({std::move(c), index});
+      }
+    }
+    for (size_t t = 0; t < levels.size(); ++t) {
+      levels[t].bits.assign((per_table[t].size() + 63) / 64, 0);
+    }
+  }
+
+  /// Depth-first search in FROM order. A constrained level binary-searches
+  /// its narrowest probe range and residual-checks only the candidates in
+  /// it, in ascending candidate order, so match() sees the matching
+  /// combinations (in rows / chosen) in the nested loop's order. At the
+  /// last level a candidate p with skip_last(p) is passed over before its
+  /// residual runs.
+  template <typename SkipLast, typename Match>
+  void Search(const SkipLast& skip_last, const Match& match) {
+    const int num_tables = static_cast<int>(levels.size());
+    auto dfs = [&](auto&& self, int t) -> void {
+      if (t == num_tables) {
+        match();
+        return;
+      }
+      Level& level = levels[t];
+      const std::vector<const data::Tuple*>& cands = per_table[t];
+      auto try_candidate = [&](uint32_t p) {
+        if (t == num_tables - 1 && skip_last(p)) return;
+        rows[t] = cands[p]->values.data();
+        chosen[t] = p;
+        for (const query::CompiledPredicate& pred : level.residual) {
+          if (!pred.Eval(rows.data())) return;
+        }
+        self(self, t + 1);
+      };
+      if (level.probes.empty()) {
+        for (uint32_t p = 0; p < cands.size(); ++p) try_candidate(p);
+      } else {
+        // The narrowest probe range; the residual check re-tests every
+        // candidate in it, so the other probes need not be intersected.
+        const SortedIndex* best = nullptr;
+        size_t best_begin = 0;
+        size_t best_end = 0;
+        for (const Level::Probe& probe : level.probes) {
+          const query::Interval range =
+              probe.constraint.ScalarRange(rows.data());
+          const SortedIndex& idx = level.indexes[probe.index];
+          size_t begin = 0;
+          size_t end = 0;
+          if (range.lo <= range.hi) {
+            begin = static_cast<size_t>(
+                std::lower_bound(idx.values.begin(), idx.values.end(),
+                                 range.lo) -
+                idx.values.begin());
+            end = static_cast<size_t>(
+                std::upper_bound(idx.values.begin() + begin, idx.values.end(),
+                                 range.hi) -
+                idx.values.begin());
+          }
+          if (best == nullptr || end - begin + idx.nan_positions.size() <
+                                     best_end - best_begin +
+                                         best->nan_positions.size()) {
+            best = &idx;
+            best_begin = begin;
+            best_end = end;
+          }
+        }
+        VisitInRange(level.bits, *best, best_begin, best_end, try_candidate);
+      }
+      rows[t] = nullptr;
+    };
+    dfs(dfs, 0);
+  }
+};
+
 }  // namespace
 
-JoinResult ComputeExactJoin(
-    const query::AnalyzedQuery& q,
-    const std::vector<std::vector<const data::Tuple*>>& per_table_tuples) {
+JoinResult ComputeExactJoin(const query::AnalyzedQuery& q,
+                            const PerTable& per_table_tuples) {
   const int num_tables = q.num_tables();
-  SENSJOIN_CHECK_EQ(static_cast<int>(per_table_tuples.size()), num_tables);
-
   JoinResult result;
 
   // Output columns.
@@ -149,31 +253,7 @@ JoinResult ComputeExactJoin(
     if (q.has_aggregates()) accumulators.push_back({.kind = item.aggregate});
   }
 
-  // Join predicates grouped by the last table they reference, plus the
-  // probe constraints they yield on that table.
-  std::vector<Level> levels(num_tables);
-  for (const auto& p : q.join_predicates()) {
-    std::set<int> tables;
-    p->CollectTableIndices(&tables);
-    SENSJOIN_CHECK(!tables.empty());
-    const int t = *tables.rbegin();
-    Level& level = levels[t];
-    level.residual.push_back(query::CompiledPredicate::Compile(*p));
-    for (query::ProbeConstraint& c : query::ProbeConstraint::Extract(*p, t)) {
-      size_t index = 0;
-      while (index < level.indexes.size() &&
-             level.indexes[index].attr != c.attr_index()) {
-        ++index;
-      }
-      if (index == level.indexes.size()) {
-        level.indexes.emplace_back(c.attr_index(), per_table_tuples[t]);
-      }
-      level.probes.push_back({std::move(c), index});
-    }
-  }
-  for (int t = 0; t < num_tables; ++t) {
-    levels[t].bits.assign((per_table_tuples[t].size() + 63) / 64, 0);
-  }
+  Plan plan(q, per_table_tuples);
 
   // Contributors as bits over the distinct candidate node ids (sorted, so
   // reading the bits back in order yields contributing_nodes sorted).
@@ -194,93 +274,47 @@ JoinResult ComputeExactJoin(
   }
   std::vector<uint64_t> contributors((node_ids.size() + 63) / 64, 0);
 
-  std::vector<const double*> rows(num_tables, nullptr);
-  std::vector<uint32_t> chosen(num_tables, 0);
   std::vector<sim::NodeId> row_contributors(num_tables);
-
-  auto dfs = [&](auto&& self, int t) -> void {
-    if (t == num_tables) {
-      ++result.matched_combinations;
-      for (int i = 0; i < num_tables; ++i) {
-        const uint32_t rank = node_rank[i][chosen[i]];
-        contributors[rank / 64] |= uint64_t{1} << (rank % 64);
-      }
-      if (q.has_aggregates()) {
-        for (size_t i = 0; i < outputs.size(); ++i) {
-          accumulators[i].Update(outputs[i].EvalValue(rows.data()));
-        }
-        return;
-      }
-      std::vector<double> row;
-      if (q.select_star()) {
-        row.reserve(static_cast<size_t>(num_tables) *
-                    q.schema().num_attributes());
+  const double* const* rows = plan.rows.data();
+  const std::vector<uint32_t>& chosen = plan.chosen;
+  plan.Search(
+      [](uint32_t) { return false; },
+      [&] {
+        ++result.matched_combinations;
         for (int i = 0; i < num_tables; ++i) {
-          const std::vector<double>& v = per_table_tuples[i][chosen[i]]->values;
-          row.insert(row.end(), v.begin(), v.end());
+          const uint32_t rank = node_rank[i][chosen[i]];
+          contributors[rank / 64] |= uint64_t{1} << (rank % 64);
         }
-      } else {
-        row.reserve(outputs.size());
-        for (const query::CompiledPredicate& out : outputs) {
-          row.push_back(out.EvalValue(rows.data()));
+        if (q.has_aggregates()) {
+          for (size_t i = 0; i < outputs.size(); ++i) {
+            accumulators[i].Update(outputs[i].EvalValue(rows));
+          }
+          return;
         }
-      }
-      result.rows.push_back(std::move(row));
-      for (int i = 0; i < num_tables; ++i) {
-        row_contributors[i] = per_table_tuples[i][chosen[i]]->node;
-      }
-      std::sort(row_contributors.begin(), row_contributors.end());
-      result.row_nodes.emplace_back(
-          row_contributors.begin(),
-          std::unique(row_contributors.begin(), row_contributors.end()));
-      return;
-    }
-    Level& level = levels[t];
-    const std::vector<const data::Tuple*>& cands = per_table_tuples[t];
-    auto try_candidate = [&](uint32_t p) {
-      rows[t] = cands[p]->values.data();
-      chosen[t] = p;
-      for (const query::CompiledPredicate& pred : level.residual) {
-        if (!pred.Eval(rows.data())) return;
-      }
-      self(self, t + 1);
-    };
-    if (level.probes.empty()) {
-      for (uint32_t p = 0; p < cands.size(); ++p) try_candidate(p);
-    } else {
-      // The narrowest probe range; the residual check re-tests every
-      // candidate in it, so the other probes need not be intersected.
-      const SortedIndex* best = nullptr;
-      size_t best_begin = 0;
-      size_t best_end = 0;
-      for (const Level::Probe& probe : level.probes) {
-        const query::Interval range = probe.constraint.ScalarRange(rows.data());
-        const SortedIndex& idx = level.indexes[probe.index];
-        size_t begin = 0;
-        size_t end = 0;
-        if (range.lo <= range.hi) {
-          begin = static_cast<size_t>(
-              std::lower_bound(idx.values.begin(), idx.values.end(),
-                               range.lo) -
-              idx.values.begin());
-          end = static_cast<size_t>(
-              std::upper_bound(idx.values.begin() + begin, idx.values.end(),
-                               range.hi) -
-              idx.values.begin());
+        std::vector<double> row;
+        if (q.select_star()) {
+          row.reserve(static_cast<size_t>(num_tables) *
+                      q.schema().num_attributes());
+          for (int i = 0; i < num_tables; ++i) {
+            const std::vector<double>& v =
+                per_table_tuples[i][chosen[i]]->values;
+            row.insert(row.end(), v.begin(), v.end());
+          }
+        } else {
+          row.reserve(outputs.size());
+          for (const query::CompiledPredicate& out : outputs) {
+            row.push_back(out.EvalValue(rows));
+          }
         }
-        if (best == nullptr || end - begin + idx.nan_positions.size() <
-                                   best_end - best_begin +
-                                       best->nan_positions.size()) {
-          best = &idx;
-          best_begin = begin;
-          best_end = end;
+        result.rows.push_back(std::move(row));
+        for (int i = 0; i < num_tables; ++i) {
+          row_contributors[i] = per_table_tuples[i][chosen[i]]->node;
         }
-      }
-      VisitInRange(level.bits, *best, best_begin, best_end, try_candidate);
-    }
-    rows[t] = nullptr;
-  };
-  dfs(dfs, 0);
+        std::sort(row_contributors.begin(), row_contributors.end());
+        result.row_nodes.emplace_back(
+            row_contributors.begin(),
+            std::unique(row_contributors.begin(), row_contributors.end()));
+      });
 
   if (q.has_aggregates()) {
     std::vector<double> row;
@@ -296,6 +330,28 @@ JoinResult ComputeExactJoin(
     }
   }
   return result;
+}
+
+std::vector<std::vector<bool>> PartneredCandidates(
+    const query::AnalyzedQuery& q, const PerTable& per_table_tuples) {
+  Plan plan(q, per_table_tuples);
+  const int last = q.num_tables() - 1;
+  std::vector<std::vector<bool>> partnered;
+  for (const auto& cands : per_table_tuples) {
+    partnered.emplace_back(cands.size(), false);
+  }
+  // A match whose positions are all marked already can mark nothing new.
+  plan.Search(
+      [&](uint32_t p) {
+        for (int i = 0; i < last; ++i) {
+          if (!partnered[i][plan.chosen[i]]) return false;
+        }
+        return static_cast<bool>(partnered[last][p]);
+      },
+      [&] {
+        for (int i = 0; i <= last; ++i) partnered[i][plan.chosen[i]] = true;
+      });
+  return partnered;
 }
 
 }  // namespace sensjoin::join

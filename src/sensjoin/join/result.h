@@ -41,6 +41,15 @@ JoinResult ComputeExactJoin(
     const query::AnalyzedQuery& q,
     const std::vector<std::vector<const data::Tuple*>>& per_table_tuples);
 
+/// The same plan as ComputeExactJoin, asked only which candidates have a
+/// join partner: element [t][p] is true iff per_table_tuples[t][p] takes
+/// part in at least one combination satisfying all join predicates. Builds
+/// no rows; a combination whose candidates are all marked already is not
+/// checked at all.
+std::vector<std::vector<bool>> PartneredCandidates(
+    const query::AnalyzedQuery& q,
+    const std::vector<std::vector<const data::Tuple*>>& per_table_tuples);
+
 }  // namespace sensjoin::join
 
 #endif  // SENSJOIN_JOIN_RESULT_H_

@@ -2,7 +2,9 @@
 // (the indexed plan) against the nested-loop DFS it replaced
 // (reference_exact_join.h), bit for bit, on seeded random 2- and 3-table
 // queries and on adversarial tuples placed at the ulp-level boundaries of
-// every threshold shape the probe ranges are derived from.
+// every threshold shape the probe ranges are derived from. The same inputs
+// check PartneredCandidates against the candidate positions of the
+// reference's matches.
 
 #include <bit>
 #include <cmath>
@@ -93,9 +95,12 @@ using PerTable = std::vector<std::vector<const data::Tuple*>>;
 size_t ExpectSameAsReference(const std::string& sql,
                              const PerTable& per_table) {
   const query::AnalyzedQuery q = MustAnalyze(sql);
-  const JoinResult want = reference::ReferenceExactJoin(q, per_table);
+  std::vector<std::vector<bool>> partnered;
+  const JoinResult want =
+      reference::ReferenceExactJoin(q, per_table, &partnered);
   const JoinResult got = ComputeExactJoin(q, per_table);
   EXPECT_TRUE(SameResult(want, got)) << sql;
+  EXPECT_EQ(PartneredCandidates(q, per_table), partnered) << sql;
   return want.matched_combinations;
 }
 

@@ -3,7 +3,9 @@
 // exact_join_oracle_test and exact_join_fuzz: it tree-walks every predicate
 // for every candidate combination in FROM order, so its rows, row_nodes,
 // contributing_nodes, matched_combinations and aggregate accumulation order
-// define what the plan must reproduce bit for bit. Test-only code.
+// define what the plan must reproduce bit for bit, and the candidate
+// positions of its matches what PartneredCandidates must mark. Test-only
+// code.
 
 #ifndef SENSJOIN_TESTS_REFERENCE_EXACT_JOIN_H_
 #define SENSJOIN_TESTS_REFERENCE_EXACT_JOIN_H_
@@ -75,9 +77,12 @@ struct Accumulator {
 
 }  // namespace detail
 
+/// When `partnered` is non-null it receives, per FROM entry, whether each
+/// candidate position took part in some match.
 inline JoinResult ReferenceExactJoin(
     const query::AnalyzedQuery& q,
-    const std::vector<std::vector<const data::Tuple*>>& per_table_tuples) {
+    const std::vector<std::vector<const data::Tuple*>>& per_table_tuples,
+    std::vector<std::vector<bool>>* partnered = nullptr) {
   const int num_tables = q.num_tables();
   SENSJOIN_CHECK_EQ(static_cast<int>(per_table_tuples.size()), num_tables);
 
@@ -115,13 +120,23 @@ inline JoinResult ReferenceExactJoin(
   }
 
   std::vector<const data::Tuple*> assignment(num_tables, nullptr);
+  std::vector<size_t> chosen(num_tables, 0);
   detail::AssignmentContext ctx(&assignment);
+  if (partnered != nullptr) {
+    partnered->clear();
+    for (const auto& cands : per_table_tuples) {
+      partnered->emplace_back(cands.size(), false);
+    }
+  }
   std::set<sim::NodeId> contributors;
 
   std::function<void(int)> dfs = [&](int t) {
     if (t == num_tables) {
       ++result.matched_combinations;
       for (const data::Tuple* tup : assignment) contributors.insert(tup->node);
+      if (partnered != nullptr) {
+        for (int i = 0; i < num_tables; ++i) (*partnered)[i][chosen[i]] = true;
+      }
       if (q.has_aggregates()) {
         for (size_t i = 0; i < q.select().size(); ++i) {
           const query::SelectItem& item = q.select()[i];
@@ -154,8 +169,9 @@ inline JoinResult ReferenceExactJoin(
       }
       return;
     }
-    for (const data::Tuple* tup : per_table_tuples[t]) {
-      assignment[t] = tup;
+    for (size_t p = 0; p < per_table_tuples[t].size(); ++p) {
+      assignment[t] = per_table_tuples[t][p];
+      chosen[t] = p;
       bool alive = true;
       for (const query::Expr* p : preds_at[t]) {
         if (!query::reference::EvalPredicate(*p, ctx)) {
