@@ -39,7 +39,7 @@ void Main(uint64_t seed, int threads, bool use_treecut) {
             << (use_treecut ? "on" : "off") << "), seed " << seed << "\n\n";
   const Calibration cal = CalibrateFraction(
       *tb, [](double d) { return RatioQueryOneJoinAttr(3, d); }, 0.0, 25.0,
-      0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22, &runner);
+      0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22);
   auto q = tb->ParseQuery(cal.sql);
   SENSJOIN_CHECK(q.ok());
 

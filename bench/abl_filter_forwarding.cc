@@ -3,9 +3,9 @@
 // argues the limit barely matters because the mechanism's benefit is near
 // the leaves where structures are tiny.
 //
-// The calibration runs once up front (contributor scan chunked across the
-// runner); the six configurations then run as ParallelRunner trials on
-// per-trial testbeds, byte-identical to a sequential run.
+// The calibration runs once up front on the main thread; the six
+// configurations then run as ParallelRunner trials on per-trial testbeds,
+// byte-identical to a sequential run.
 
 #include <cstdlib>
 #include <iostream>
@@ -29,8 +29,7 @@ void Main(uint64_t seed, int threads) {
             << seed << "\n\n";
   const Calibration cal = CalibrateFraction(
       *tb, [](double d) { return RatioQueryThreeJoinAttrs(5, d); }, 0.0,
-      1500.0, 0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22,
-      &runner);
+      1500.0, 0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22);
 
   // Trials 0..4 sweep the memory budget; the last trial disables the
   // mechanism entirely.

@@ -4,9 +4,9 @@
 // the trade-off: Dmax = 0 disables Treecut; values near the packet size
 // push complete tuples too far up the tree.
 //
-// The calibration runs once up front (contributor scan chunked across the
-// runner); the seven configurations then run as ParallelRunner trials on
-// per-trial testbeds, byte-identical to a sequential run.
+// The calibration runs once up front on the main thread; the seven
+// configurations then run as ParallelRunner trials on per-trial testbeds,
+// byte-identical to a sequential run.
 
 #include <cstdlib>
 #include <iostream>
@@ -30,7 +30,7 @@ void Main(uint64_t seed, int threads) {
             << seed << "\n\n";
   const Calibration cal = CalibrateFraction(
       *tb, [](double d) { return RatioQueryOneJoinAttr(3, d); }, 0.0, 25.0,
-      0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22, &runner);
+      0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22);
 
   // Trials 0..5 sweep Dmax; the last trial turns Treecut off entirely
   // (distinct from Dmax = 0 only in bookkeeping).

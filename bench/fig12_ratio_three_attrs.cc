@@ -37,8 +37,7 @@ void Main(uint64_t seed, int threads) {
   // additionally queried attributes.
   const Calibration cal = CalibrateFraction(
       *tb, [](double d) { return RatioQueryThreeJoinAttrs(3, d); }, 0.0,
-      1500.0, 0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22,
-      &runner);
+      1500.0, 0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22);
 
   const std::vector<int> kAttrs = {3, 4, 5, 6};
   auto rows = runner.Run(

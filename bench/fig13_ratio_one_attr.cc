@@ -34,7 +34,7 @@ void Main(uint64_t seed, int threads) {
 
   const Calibration cal = CalibrateFraction(
       *tb, [](double d) { return RatioQueryOneJoinAttr(1, d); }, 0.0, 25.0,
-      0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22, &runner);
+      0.05, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22);
 
   const std::vector<int> kAttrs = {1, 2, 3, 4, 5};
   auto rows = runner.Run(

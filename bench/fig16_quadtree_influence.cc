@@ -5,10 +5,9 @@
 // external join even without the quadtree (only join attributes are sent),
 // and the quadtree roughly halves the pre-computation data on top.
 //
-// The shared calibration runs once up front (its contributor scan chunked
-// across the runner); the three variant executions then run as
-// ParallelRunner trials on per-trial testbeds, byte-identical to a
-// sequential run.
+// The shared calibration runs once up front on the main thread; the three
+// variant executions then run as ParallelRunner trials on per-trial
+// testbeds, byte-identical to a sequential run.
 
 #include <cstdlib>
 #include <iostream>
@@ -39,8 +38,7 @@ void Main(uint64_t seed, int threads) {
 
   const Calibration cal = CalibrateFraction(
       *tb, [](double d) { return RatioQueryThreeJoinAttrs(5, d); }, 0.0,
-      1500.0, 0.04, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22,
-      &runner);
+      1500.0, 0.04, /*increasing=*/false, /*epoch=*/0, /*iterations=*/22);
 
   // Trial 0: external join; 1: SENS without the quadtree; 2: full SENS.
   auto results = runner.Run(3, seed, [&](const testbed::TrialContext& ctx) {

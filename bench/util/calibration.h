@@ -5,7 +5,6 @@
 #include <string>
 
 #include "sensjoin/query/query.h"
-#include "sensjoin/testbed/parallel.h"
 #include "sensjoin/testbed/testbed.h"
 
 namespace sensjoin::bench {
@@ -15,13 +14,11 @@ namespace sensjoin::bench {
 /// the network. This is the paper's primary workload parameter
 /// ("fraction of nodes in the result", Sec. VI "Parameters").
 ///
-/// When `runner` is non-null and has more than one thread, the pairwise
-/// contributor scan is chunked across it; the result is identical either
-/// way. Pass nullptr from code that is itself running inside a parallel
-/// trial.
+/// The contributors are the candidates that join::PartneredCandidates
+/// marks: the station exact join's indexed plan, run sequentially and
+/// without building rows.
 double ResultNodeFraction(testbed::Testbed& tb, const query::AnalyzedQuery& q,
-                          uint64_t epoch,
-                          const testbed::ParallelRunner* runner = nullptr);
+                          uint64_t epoch);
 
 /// Outcome of a predicate-parameter calibration.
 struct Calibration {
@@ -46,7 +43,7 @@ struct Calibration {
 Calibration CalibrateFraction(
     testbed::Testbed& tb, const std::function<std::string(double)>& make_sql,
     double lo, double hi, double target, bool increasing, uint64_t epoch = 0,
-    int iterations = 22, const testbed::ParallelRunner* runner = nullptr);
+    int iterations = 22);
 
 }  // namespace sensjoin::bench
 

@@ -10,7 +10,6 @@
 #include "sensjoin/join/result.h"
 #include "sensjoin/join/stats.h"
 #include "sensjoin/net/flooding.h"
-#include "sensjoin/query/compiled_predicate.h"
 
 namespace sensjoin::join {
 namespace {
@@ -89,24 +88,20 @@ StatusOr<ExecutionReport> SemiJoinExecutor::Execute(
     for (int idx : a_attrs) proj.values[idx] = a->values[idx];
     a_projections.push_back(std::move(proj));
   }
-  std::vector<query::CompiledPredicate> join_preds;
-  for (const auto& p : q.join_predicates()) {
-    join_preds.push_back(query::CompiledPredicate::Compile(*p));
-  }
-  auto b_has_partner = [&](const data::Tuple& b) {
-    for (const data::Tuple& a : a_projections) {
-      const double* rows[2] = {a.values.data(), b.values.data()};
-      bool match = true;
-      for (const query::CompiledPredicate& p : join_preds) {
-        if (!p.Eval(rows)) {
-          match = false;
-          break;
-        }
-      }
-      if (match) return true;
+  // B tuples with a partner among A's projections: the exact join's
+  // partner search over {A projections, B candidates}.
+  std::vector<std::vector<const data::Tuple*>> a_and_b(2);
+  for (const data::Tuple& a : a_projections) a_and_b[0].push_back(&a);
+  for (sim::NodeId u : tree_.collection_order()) {
+    if (ctx.info(u).has_tuple && ctx.PassesTable(ctx.info(u).tuple, 1)) {
+      a_and_b[1].push_back(&ctx.info(u).tuple);
     }
-    return false;
-  };
+  }
+  const std::vector<bool> b_partnered = PartneredCandidates(q, a_and_b)[1];
+  std::vector<bool> b_has_partner(sim_.num_nodes(), false);
+  for (size_t i = 0; i < b_partnered.size(); ++i) {
+    b_has_partner[a_and_b[1][i]->node] = b_partnered[i];
+  }
 
   std::vector<std::vector<data::Tuple>> pending_full(sim_.num_nodes());
   std::vector<data::Tuple> base_candidates;
@@ -115,8 +110,7 @@ StatusOr<ExecutionReport> SemiJoinExecutor::Execute(
     const ExecutorContext::NodeInfo& info = ctx.info(u);
     if (info.has_tuple) {
       const bool as_a = ctx.PassesTable(info.tuple, 0);
-      const bool as_b =
-          ctx.PassesTable(info.tuple, 1) && b_has_partner(info.tuple);
+      const bool as_b = b_has_partner[u];
       if (as_a || as_b) {
         contribution.push_back(info.tuple);
         ++report.final_tuples_shipped;

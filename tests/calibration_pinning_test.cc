@@ -1,8 +1,7 @@
 // Pins CalibrateFraction / ResultNodeFraction behavior across the
 // hot-path rework (materialization cache shared across bisection probes,
-// hoisted pair context, optional chunked contributor scan): the results
-// must equal a straightforward per-probe reference recomputation, and the
-// parallel scan must equal the sequential one.
+// contributors from the exact join's partner search): the results must
+// equal a straightforward per-probe reference recomputation.
 
 #include <cmath>
 #include <set>
@@ -73,26 +72,20 @@ double ReferenceFraction(testbed::Testbed& tb, const query::AnalyzedQuery& q,
 TEST(CalibrationPinningTest, FractionMatchesReferenceExactly) {
   auto tb = testbed::Testbed::Create(SmallParams(42));
   ASSERT_TRUE(tb.ok()) << tb.status();
+  std::vector<std::string> queries;
   for (double threshold : {0.1, 0.3, 0.8, 2.0}) {
-    const std::string sql = RatioQueryOneJoinAttr(2, threshold);
+    queries.push_back(RatioQueryOneJoinAttr(2, threshold));
+  }
+  // Band plus distance: the fig10(b) query.
+  for (double dmin : {0.0, 120.0, 250.0, 400.0}) {
+    queries.push_back(RatioQueryThreeJoinAttrs(5, dmin));
+  }
+  for (const std::string& sql : queries) {
     auto q = (*tb)->ParseQuery(sql);
     ASSERT_TRUE(q.ok()) << q.status();
     const double expected = ReferenceFraction(**tb, *q, /*epoch=*/0);
     const double actual = ResultNodeFraction(**tb, *q, /*epoch=*/0);
     EXPECT_EQ(actual, expected) << sql;
-  }
-}
-
-TEST(CalibrationPinningTest, ParallelScanMatchesSequential) {
-  auto tb = testbed::Testbed::Create(SmallParams(7));
-  ASSERT_TRUE(tb.ok()) << tb.status();
-  testbed::ParallelRunner runner(4);
-  for (double threshold : {0.2, 0.6, 1.5}) {
-    auto q = (*tb)->ParseQuery(RatioQueryOneJoinAttr(2, threshold));
-    ASSERT_TRUE(q.ok()) << q.status();
-    const double seq = ResultNodeFraction(**tb, *q, 0, nullptr);
-    const double par = ResultNodeFraction(**tb, *q, 0, &runner);
-    EXPECT_EQ(seq, par);
   }
 }
 
@@ -132,14 +125,6 @@ TEST(CalibrationPinningTest, CalibrationPinnedAgainstReferenceBisection) {
   EXPECT_EQ(actual.param, expected.param);
   EXPECT_EQ(actual.fraction, expected.fraction);
   EXPECT_EQ(actual.sql, expected.sql);
-
-  // And the chunked-parallel calibration is byte-identical too.
-  testbed::ParallelRunner runner(4);
-  const Calibration parallel = CalibrateFraction(
-      **tb, make_sql, 0.01, 3.0, target, /*increasing=*/true, /*epoch=*/0,
-      iterations, &runner);
-  EXPECT_EQ(parallel.param, expected.param);
-  EXPECT_EQ(parallel.fraction, expected.fraction);
 }
 
 }  // namespace
