@@ -30,6 +30,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -76,6 +77,9 @@ struct SweepOutcome {
   int queries = 0;
   bool shared = false;
   testbed::ServiceRunResult run;
+  /// Each query's matched_combinations per committed report, in stream
+  /// order (the run itself keeps no reports).
+  std::map<service::QueryId, std::vector<size_t>> matched;
 };
 
 testbed::ServiceRunParams SweepParams(int num_queries, bool shared) {
@@ -293,10 +297,17 @@ void Main(uint64_t seed, int threads, const std::string& json_path) {
         // Same base seed everywhere: every configuration runs on an
         // identical deployment, so costs are directly comparable.
         auto tb = MustCreateTestbed(PaperDefaultParams(seed, kNumNodes));
-        auto run =
-            testbed::RunService(*tb, SweepParams(num_queries, shared));
+        SweepOutcome outcome{num_queries, shared, {}, {}};
+        testbed::ServiceRunObservers observers;
+        observers.sink = [&outcome](service::QueryId id, uint64_t,
+                                    const join::ExecutionReport& report) {
+          outcome.matched[id].push_back(report.result.matched_combinations);
+        };
+        auto run = testbed::DriveService(
+            *tb, SweepParams(num_queries, shared), observers);
         SENSJOIN_CHECK(run.ok()) << run.status();
-        return SweepOutcome{num_queries, shared, std::move(run).value()};
+        outcome.run = std::move(run).value();
+        return outcome;
       });
   SENSJOIN_CHECK(outcomes.ok()) << outcomes.status();
 
@@ -318,13 +329,12 @@ void Main(uint64_t seed, int threads, const std::string& json_path) {
   for (size_t s = 0; s < outcomes->size(); s += 2) {
     const SweepOutcome& shared = (*outcomes)[s];
     const SweepOutcome& dedicated = (*outcomes)[s + 1];
-    for (const auto& [id, reports] : shared.run.query_reports) {
-      const auto it = dedicated.run.query_reports.find(id);
-      SENSJOIN_CHECK(it != dedicated.run.query_reports.end());
-      SENSJOIN_CHECK(reports.size() == it->second.size());
-      for (size_t e = 0; e < reports.size(); ++e) {
-        SENSJOIN_CHECK(reports[e].result.matched_combinations ==
-                       it->second[e].result.matched_combinations)
+    for (const auto& [id, matched] : shared.matched) {
+      const auto it = dedicated.matched.find(id);
+      SENSJOIN_CHECK(it != dedicated.matched.end());
+      SENSJOIN_CHECK(matched.size() == it->second.size());
+      for (size_t e = 0; e < matched.size(); ++e) {
+        SENSJOIN_CHECK(matched[e] == it->second[e])
             << "shared and dedicated executions disagree (query " << id
             << ", epoch " << e << ")";
       }
