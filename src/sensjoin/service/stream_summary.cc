@@ -121,7 +121,9 @@ std::string StreamSummarizer::ToJson() const {
     out += i == 0 ? "\n  {" : ",\n  {";
     for (size_t f = 0; f < std::size(kFields); ++f) {
       if (f > 0) out += ", ";
-      out += "\"" + obs::JsonEscape(kFields[f].name) + "\": ";
+      out += '"';
+      out += obs::JsonEscape(kFields[f].name);
+      out += "\": ";
       out += obs::JsonDouble(
           static_cast<double>(summaries_[i].*kFields[f].member));
     }
