@@ -1,5 +1,6 @@
 // The nested-loop DFS that ComputeExactJoin ran before the indexed exact
-// join plan, kept verbatim as the differential oracle of
+// join plan, kept verbatim (plus an optional record of each match's
+// candidate positions) as the differential oracle of
 // exact_join_oracle_test and exact_join_fuzz: it tree-walks every predicate
 // for every candidate combination in FROM order, so its rows, row_nodes,
 // contributing_nodes, matched_combinations and aggregate accumulation order
